@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel kind {self.kind!r}; expected one of {VALID_KERNEL_KINDS}"
             )
-        if self.kind == "rbf" and not self.mu > 0:
-            raise ValueError(f"rbf width mu must be positive, got {self.mu}")
+        if self.kind == "rbf" and not (self.mu > 0 and math.isfinite(self.mu)):
+            raise ValueError(f"rbf width mu must be positive and finite, got {self.mu}")
 
 
 def kernel_eval(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> float:

@@ -21,12 +21,19 @@ with S = G G^T and H = G* G*^T, followed by two small recovery solves.
 The up-bound side mirrors this with (c4, c5, c6, eps2) and y negated in the
 right-hand side. The prediction is the average of the two bound regressors
 and never reads privileged features.
+
+The products S, H, S H, S 1, H 1, S H 1 and G^T G depend only on the
+training rows and the kernel, so a :class:`FitWorkspace` computes each once,
+on first use, and reuses it for both sides of a fit and for every candidate
+(c1..c6, eps) fitted on the same rows and kernel width.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,19 +68,53 @@ class Hyperparams:
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3", "c4", "c5", "c6"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.eps1 < 0 or self.eps2 < 0:
-            raise ValueError("eps1 and eps2 must be non-negative")
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("eps1", "eps2"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
 class FitWorkspace:
-    """Augmented design matrices shared by the two training problems."""
+    """Augmented design matrices shared by the two training problems.
+
+    The products below depend only on the designs, not on c1..c6 or eps;
+    each is computed on first access and then kept for the workspace's life.
+    """
 
     G: np.ndarray
     G_star: np.ndarray
     ones: np.ndarray
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return self.G @ self.G.T
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return self.G_star @ self.G_star.T
+
+    @cached_property
+    def SH(self) -> np.ndarray:
+        return self.S @ self.H
+
+    @cached_property
+    def Se(self) -> np.ndarray:
+        return self.S @ self.ones
+
+    @cached_property
+    def He(self) -> np.ndarray:
+        return self.H @ self.ones
+
+    @cached_property
+    def SHe(self) -> np.ndarray:
+        return self.S @ self.He
+
+    @cached_property
+    def GtG(self) -> np.ndarray:
+        return self.G.T @ self.G
 
 
 @dataclass(frozen=True)
@@ -163,16 +204,11 @@ def build_workspace(data: PIDataset, hp: Hyperparams) -> FitWorkspace:
 def _multiplier_system(
     ws: FitWorkspace, y: np.ndarray, c_reg: float, c_corr: float, c_drift: float, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    s = ws.G @ ws.G.T
-    h = ws.G_star @ ws.G_star.T
     e = ws.ones
-    a = s + (c_reg / c_corr) * h + (1.0 / c_corr) * (s @ h)
-    he = h @ e
-    se = s @ e
-    she = s @ he
-    rhs = c_reg * y + c_reg * eps * e - (c_reg * c_drift / c_corr) * he + eps * se - (
+    a = ws.S + (c_reg / c_corr) * ws.H + (1.0 / c_corr) * ws.SH
+    rhs = c_reg * y + c_reg * eps * e - (c_reg * c_drift / c_corr) * ws.He + eps * ws.Se - (
         c_drift / c_corr
-    ) * she
+    ) * ws.SHe
     return a, rhs
 
 
@@ -224,7 +260,12 @@ def _residuals_from_workspace(
     )
 
 
-def fit(data: PIDataset, hp: Hyperparams, norm: NormStats | None = None) -> TrainedModel:
+def fit(
+    data: PIDataset,
+    hp: Hyperparams,
+    norm: NormStats | None = None,
+    ws: FitWorkspace | None = None,
+) -> TrainedModel:
     """Fit both bound regressors and their correcting functions.
 
     After the multiplier solves, the weights are recovered from
@@ -239,13 +280,18 @@ def fit(data: PIDataset, hp: Hyperparams, norm: NormStats | None = None) -> Trai
 
     ``norm`` is not applied here; training data is expected to be already
     normalized by the caller, and the stats ride along for prediction time.
+
+    ``ws`` lets candidates that share training rows and kernel reuse one
+    workspace and its products; it must be ``build_workspace(data, hp)`` for
+    this ``data`` and ``hp.kernel``. Without it the workspace is built here.
     """
-    ws = build_workspace(data, hp)
+    if ws is None:
+        ws = build_workspace(data, hp)
     y = _check_targets(ws, data.targets)
     alpha = solve_alpha(ws, y, hp)
     beta = solve_beta(ws, y, hp)
 
-    gtg = ws.G.T @ ws.G
+    gtg = ws.GtG
     eye = np.eye(gtg.shape[0])
     v1 = solve_checked(gtg + hp.c1 * eye, ws.G.T @ (y + alpha), context="down-bound recovery")
     v2 = solve_checked(gtg + hp.c4 * eye, ws.G.T @ (y - beta), context="up-bound recovery")
@@ -412,15 +458,16 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
-def load_model(path: str | Path) -> TrainedModel:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    if payload.get("format") != MODEL_FORMAT:
-        raise DataError(f"model file {path} has unknown format {payload.get('format')!r}")
+def _model_array(payload: dict, key: str, ndim: int) -> np.ndarray:
+    arr = np.asarray(payload[key], dtype=float)
+    if arr.ndim != ndim:
+        raise DataError(f"{key} must be {ndim}-dimensional, got ndim={arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{key} contains non-finite entries")
+    return arr
+
+
+def _model_from_payload(payload: dict) -> TrainedModel:
     hp_raw = payload["hyperparams"]
     kernel = None
     if hp_raw["kernel"] is not None:
@@ -430,23 +477,63 @@ def load_model(path: str | Path) -> TrainedModel:
         c4=hp_raw["c4"], c5=hp_raw["c5"], c6=hp_raw["c6"],
         eps1=hp_raw["eps1"], eps2=hp_raw["eps2"], kernel=kernel,
     )
+    train_regular = _model_array(payload, "train_regular", 2)
+    train_privileged = _model_array(payload, "train_privileged", 2)
+    m, d_regular = train_regular.shape
+    if train_privileged.shape[0] != m:
+        raise DataError(
+            f"train_privileged has {train_privileged.shape[0]} rows, train_regular has {m}"
+        )
+    # Weight vectors are [u; bias]: u spans the training rows in kernel mode,
+    # the feature columns of their channel in linear mode.
+    n_regular = m if kernel is not None else d_regular
+    n_privileged = m if kernel is not None else train_privileged.shape[1]
+    expected = {
+        "v1": n_regular + 1, "v2": n_regular + 1,
+        "v1_star": n_privileged + 1, "v2_star": n_privileged + 1,
+        "alpha": m, "beta": m,
+    }
+    vectors = {}
+    for key, length in expected.items():
+        vectors[key] = _model_array(payload, key, 1)
+        if vectors[key].shape[0] != length:
+            raise DataError(f"{key} has length {vectors[key].shape[0]}, expected {length}")
     norm = None
     if payload["norm"] is not None:
-        norm = NormStats(
-            np.asarray(payload["norm"]["col_min"], dtype=float),
-            np.asarray(payload["norm"]["col_max"], dtype=float),
-        )
+        norm = NormStats(payload["norm"]["col_min"], payload["norm"]["col_max"])
+        if norm.n_feature_columns < d_regular:
+            raise DataError(
+                f"norm covers {norm.n_feature_columns} feature columns, "
+                f"the model reads {d_regular}"
+            )
     return TrainedModel(
-        v1=np.asarray(payload["v1"], dtype=float),
-        v2=np.asarray(payload["v2"], dtype=float),
-        v1_star=np.asarray(payload["v1_star"], dtype=float),
-        v2_star=np.asarray(payload["v2_star"], dtype=float),
-        duals=DualSolution(
-            alpha=np.asarray(payload["alpha"], dtype=float),
-            beta=np.asarray(payload["beta"], dtype=float),
-        ),
+        v1=vectors["v1"],
+        v2=vectors["v2"],
+        v1_star=vectors["v1_star"],
+        v2_star=vectors["v2_star"],
+        duals=DualSolution(alpha=vectors["alpha"], beta=vectors["beta"]),
         hp=hp,
-        train_regular=np.asarray(payload["train_regular"], dtype=float),
-        train_privileged=np.asarray(payload["train_privileged"], dtype=float),
+        train_regular=train_regular,
+        train_privileged=train_privileged,
         norm=norm,
     )
+
+
+def load_model(path: str | Path) -> TrainedModel:
+    """Read a model file; any unreadable, incomplete or inconsistent file is a DataError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read model file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"model file {path} holds a JSON {type(payload).__name__}, not an object")
+    if payload.get("format") != MODEL_FORMAT:
+        raise DataError(f"model file {path} has unknown format {payload.get('format')!r}")
+    try:
+        return _model_from_payload(payload)
+    except KeyError as exc:
+        raise DataError(f"model file {path} lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"model file {path} is malformed: {exc}") from exc

@@ -5,6 +5,10 @@ The grid is a Cartesian product over base-2 exponents. With parameter tying
 so a kernel grid has four axes (c1, c2, c3, mu) and a linear one has three.
 Candidates are ordered lexicographically by exponent tuple, and a stride
 subsample over that order keeps desk-scale runs tractable.
+
+Cross-validation runs fold by fold and, within a fold, kernel width by
+kernel width: every candidate sharing a (fold, width) pair is fitted on one
+workspace, so the Gram matrices and their products are built once per pair.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .data import Dataset, PIDataset
 from .kernels import KernelSpec
 from .linalg import NumericalError
 from .metrics import evaluate
-from .model import Hyperparams, fit, fit_krr_comparator, predict
+from .model import Hyperparams, build_workspace, fit, fit_krr_comparator, predict
 
 
 class TuningError(RuntimeError):
@@ -91,6 +95,16 @@ class TuneResult:
     folds: tuple[np.ndarray, ...]
 
 
+def _candidate_kernel(spec: GridSpec, rest: tuple[int, ...]) -> KernelSpec | None:
+    # ``rest`` holds the exponents after the regularization axes.
+    if spec.kernel == "linear":
+        return KernelSpec("linear")
+    if spec.kernel == "rbf":
+        mu = spec.pin_mu if spec.pin_mu is not None else 2.0 ** rest[0]
+        return KernelSpec("rbf", mu=mu)
+    return None
+
+
 def _candidate_hp(spec: GridSpec, exponents: tuple[int, ...]) -> Hyperparams:
     if spec.tie_params:
         c1, c2, c3 = (2.0**e for e in exponents[:3])
@@ -99,21 +113,14 @@ def _candidate_hp(spec: GridSpec, exponents: tuple[int, ...]) -> Hyperparams:
     else:
         c1, c2, c3, c4, c5, c6 = (2.0**e for e in exponents[:6])
         rest = exponents[6:]
-    kernel = None
-    if spec.kernel == "linear":
-        kernel = KernelSpec("linear")
-    elif spec.kernel == "rbf":
-        mu = spec.pin_mu if spec.pin_mu is not None else 2.0 ** rest[0]
-        kernel = KernelSpec("rbf", mu=mu)
     return Hyperparams(
         c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6,
-        eps1=spec.eps, eps2=spec.eps, kernel=kernel,
+        eps1=spec.eps, eps2=spec.eps, kernel=_candidate_kernel(spec, rest),
     )
 
 
-def _grid_axes(spec: GridSpec) -> list[list[int]]:
+def _grid_axes(spec: GridSpec, n_c_axes: int) -> list[list[int]]:
     c_axis = list(range(spec.c_lo, spec.c_hi + 1))
-    n_c_axes = 3 if spec.tie_params else 6
     axes = [c_axis] * n_c_axes
     if spec.has_mu_axis:
         axes.append(list(range(spec.mu_lo, spec.mu_hi + 1)))
@@ -138,25 +145,30 @@ def make_grid(spec: GridSpec) -> list[Hyperparams]:
     return [hp for hp, _ in _grid_candidates(spec)]
 
 
-def _grid_candidates(spec: GridSpec) -> list[tuple[Hyperparams, tuple[int, ...]]]:
-    axes = _grid_axes(spec)
+def _grid_points(axes: list[list[int]], max_candidates: int | None) -> list[tuple[int, ...]]:
+    """Exponent tuples over ``axes`` in lexicographic order, stride-subsampled."""
     sizes = [len(a) for a in axes]
     total = math.prod(sizes)
-    if spec.max_candidates is None:
+    if max_candidates is None:
         if total > MAX_MATERIALIZED:
             raise TuningError(
                 f"grid has {total} candidates; set max_candidates to subsample"
             )
         indices = range(total)
     else:
-        stride = max(1, math.ceil(total / spec.max_candidates))
+        stride = max(1, math.ceil(total / max_candidates))
         indices = range(0, total, stride)
-    out = []
-    for idx in indices:
-        digit_positions = _unrank(idx, sizes)
-        exponents = tuple(axis[d] for axis, d in zip(axes, digit_positions))
-        out.append((_candidate_hp(spec, exponents), exponents))
-    return out
+    return [
+        tuple(axis[d] for axis, d in zip(axes, _unrank(idx, sizes))) for idx in indices
+    ]
+
+
+def _grid_candidates(spec: GridSpec) -> list[tuple[Hyperparams, tuple[int, ...]]]:
+    axes = _grid_axes(spec, 3 if spec.tie_params else 6)
+    return [
+        (_candidate_hp(spec, exponents), exponents)
+        for exponents in _grid_points(axes, spec.max_candidates)
+    ]
 
 
 def kfold_indices(m: int, k: int, seed: int) -> list[np.ndarray]:
@@ -169,6 +181,17 @@ def kfold_indices(m: int, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(perm, k)]
 
 
+def _fold_splits(m: int, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train rows, validation rows) per fold of ``kfold_indices``."""
+    all_idx = np.arange(m)
+    splits = []
+    for val_idx in kfold_indices(m, spec.folds, spec.seed):
+        mask = np.ones(m, dtype=bool)
+        mask[val_idx] = False
+        splits.append((all_idx[mask], val_idx))
+    return splits
+
+
 def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
     """Score every grid candidate by k-fold validation RMSE and pick the best.
 
@@ -177,31 +200,35 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
     features only. Ties break toward the earliest candidate in grid order.
     """
     candidates = _grid_candidates(spec)
-    folds = kfold_indices(data.n_samples, spec.folds, spec.seed)
-    all_idx = np.arange(data.n_samples)
-    splits = []
-    for val_idx in folds:
-        mask = np.ones(data.n_samples, dtype=bool)
-        mask[val_idx] = False
-        splits.append((all_idx[mask], val_idx))
+    splits = _fold_splits(data.n_samples, spec)
+    by_kernel: dict[KernelSpec | None, list[int]] = {}
+    for pos, (hp, _) in enumerate(candidates):
+        by_kernel.setdefault(hp.kernel, []).append(pos)
+
+    fold_rmses: list[list[float | None]] = [[None] * len(splits) for _ in candidates]
+    for k, (train_idx, val_idx) in enumerate(splits):
+        train = data.subset(train_idx)
+        x_val, y_val = data.regular[val_idx], data.targets[val_idx]
+        for positions in by_kernel.values():
+            # One workspace at a time; its products are computed by the first
+            # fit that needs them and reused by the rest of the group.
+            ws = build_workspace(train, candidates[positions[0]][0])
+            for pos in positions:
+                try:
+                    model = fit(train, candidates[pos][0], ws=ws)
+                except NumericalError:
+                    continue
+                fold_rmses[pos][k] = evaluate(y_val, predict(model, x_val)).rmse
+            del ws
 
     table: list[CandidateResult] = []
     best_index = -1
     best_rmse = math.inf
-    for pos, (hp, exponents) in enumerate(candidates):
-        fold_rmses: list[float | None] = []
-        for train_idx, val_idx in splits:
-            try:
-                model = fit(data.subset(train_idx), hp)
-            except NumericalError:
-                fold_rmses.append(None)
-                continue
-            y_hat = predict(model, data.regular[val_idx])
-            fold_rmses.append(evaluate(data.targets[val_idx], y_hat).rmse)
-        scored = [r for r in fold_rmses if r is not None]
+    for pos, ((hp, exponents), rmses) in enumerate(zip(candidates, fold_rmses)):
+        scored = [r for r in rmses if r is not None]
         mean_rmse = float(np.mean(scored)) if scored else None
-        failed = len(fold_rmses) - len(scored)
-        table.append(CandidateResult(hp, exponents, mean_rmse, failed, tuple(fold_rmses)))
+        failed = len(rmses) - len(scored)
+        table.append(CandidateResult(hp, exponents, mean_rmse, failed, tuple(rmses)))
         if mean_rmse is not None and mean_rmse < best_rmse:
             best_rmse = mean_rmse
             best_index = pos
@@ -215,7 +242,7 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
         best=table[best_index].hp,
         best_index=best_index,
         table=tuple(table),
-        folds=tuple(folds),
+        folds=tuple(val_idx for _, val_idx in splits),
     )
 
 
@@ -237,40 +264,14 @@ def tune_krr(data: Dataset, spec: GridSpec) -> tuple[float, KernelSpec]:
     Uses the same exponent ranges, folds and seed as the twin-model search so
     both models see identical validation splits.
     """
-    ridge_axis = list(range(spec.c_lo, spec.c_hi + 1))
-    if spec.has_mu_axis:
-        axes = [ridge_axis, list(range(spec.mu_lo, spec.mu_hi + 1))]
-    else:
-        axes = [ridge_axis]
-    sizes = [len(a) for a in axes]
-    total = math.prod(sizes)
-    if spec.max_candidates is None:
-        indices = range(total)
-    else:
-        stride = max(1, math.ceil(total / spec.max_candidates))
-        indices = range(0, total, stride)
-
-    folds = kfold_indices(data.n_samples, spec.folds, spec.seed)
-    all_idx = np.arange(data.n_samples)
-
-    def kernel_for(exponents: tuple[int, ...]) -> KernelSpec:
-        if spec.kernel == "rbf":
-            mu = spec.pin_mu if spec.pin_mu is not None else 2.0 ** exponents[1]
-            return KernelSpec("rbf", mu=mu)
-        return KernelSpec("linear")
-
+    splits = _fold_splits(data.n_samples, spec)
     best: tuple[float, KernelSpec] | None = None
     best_rmse = math.inf
-    for idx in indices:
-        digit_positions = _unrank(idx, sizes)
-        exponents = tuple(axis[d] for axis, d in zip(axes, digit_positions))
+    for exponents in _grid_points(_grid_axes(spec, 1), spec.max_candidates):
         ridge = 2.0 ** exponents[0]
-        kernel = kernel_for(exponents)
+        kernel = _candidate_kernel(spec, exponents[1:]) or KernelSpec("linear")
         errors = []
-        for val_idx in folds:
-            mask = np.ones(data.n_samples, dtype=bool)
-            mask[val_idx] = False
-            train_idx = all_idx[mask]
+        for train_idx, val_idx in splits:
             try:
                 model = fit_krr_comparator(
                     Dataset(data.features[train_idx], data.targets[train_idx]), ridge, kernel

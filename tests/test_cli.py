@@ -137,6 +137,25 @@ def test_eval_schema_mismatch(f2_run, tmp_path):
     assert run(["eval", "--model", fit_dir / "model.json", "--data", bad]) == 2
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: [p],
+        lambda p: {"format": p["format"]},
+        lambda p: dict(p, v1=p["v1"][:-1]),
+    ],
+    ids=["json-list", "missing-keys", "short-weights"],
+)
+def test_eval_corrupt_model_file_is_a_data_error(f2_run, corrupt, capsys):
+    data_dir, fit_dir = f2_run
+    path = fit_dir / "model.json"
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert run(["eval", "--model", path, "--data", data_dir / "test.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: model file") and "Traceback" not in err
+
+
 # --------------------------------------------------------------- benchmark
 
 
@@ -154,6 +173,7 @@ def test_benchmark_small_run_with_comparator(tmp_path, capsys):
     assert cells[0] == "f2" and cells[1] == "ok"
     assert np.isfinite(float(cells[2])) and np.isfinite(float(cells[5]))
     assert (out / "timing.txt").exists()
+    assert "f2: tune " in (out / "timing.txt").read_text()
 
 
 def test_benchmark_records_failures_and_continues(tmp_path):

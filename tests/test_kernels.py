@@ -13,6 +13,8 @@ def test_spec_validation():
         KernelSpec("poly")
     with pytest.raises(ValueError, match="mu must be positive"):
         KernelSpec("rbf", mu=0.0)
+    with pytest.raises(ValueError, match="mu must be positive and finite"):
+        KernelSpec("rbf", mu=math.inf)
     KernelSpec("linear", mu=-5.0)  # mu irrelevant for the linear kind
 
 

@@ -1,9 +1,19 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from support import draw_well_posed, rel_err
 
-from twinpi.data import Dataset, NormStats, PIDataset, min_max_normalize, split_privileged
+from twinpi.data import (
+    DataError,
+    Dataset,
+    NormStats,
+    PIDataset,
+    min_max_normalize,
+    split_privileged,
+)
 from twinpi.kernels import KernelSpec
 from twinpi.linalg import NumericalError
 from twinpi.model import (
@@ -70,6 +80,48 @@ def test_workspace_identical_channels_give_identical_designs():
     data = PIDataset(rows, rows, [0.0, 1.0])
     ws = build_workspace(data, Hyperparams())
     np.testing.assert_array_equal(ws.G, ws.G_star)
+
+
+def test_workspace_products_match_their_definitions():
+    rng = np.random.default_rng(1)
+    data = PIDataset(rng.normal(size=(5, 2)), rng.normal(size=(5, 3)), rng.normal(size=5))
+    ws = build_workspace(data, Hyperparams(kernel=KernelSpec("rbf", mu=0.7)))
+    s = ws.G @ ws.G.T
+    h = ws.G_star @ ws.G_star.T
+    np.testing.assert_array_equal(ws.S, s)
+    np.testing.assert_array_equal(ws.H, h)
+    np.testing.assert_array_equal(ws.SH, s @ h)
+    np.testing.assert_array_equal(ws.Se, s @ ws.ones)
+    np.testing.assert_array_equal(ws.He, h @ ws.ones)
+    np.testing.assert_array_equal(ws.SHe, s @ (h @ ws.ones))
+    np.testing.assert_array_equal(ws.GtG, ws.G.T @ ws.G)
+    assert ws.SH is ws.SH  # computed once, then kept
+
+
+def test_fits_sharing_one_workspace_equal_plain_fits_bitwise():
+    rng = np.random.default_rng(21)
+    data, hp = draw_well_posed(rng, "rbf")
+    ws = build_workspace(data, hp)
+    fitted = 0
+    for scale in (1.0, 0.5, 2.0, 4.0):
+        candidate = Hyperparams(
+            c1=hp.c1 * scale, c2=hp.c2, c3=hp.c3 / scale,
+            c4=hp.c4, c5=hp.c5 * scale, c6=hp.c6,
+            eps1=hp.eps1, eps2=hp.eps2 * scale, kernel=hp.kernel,
+        )
+        try:
+            plain = fit(data, candidate)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                fit(data, candidate, ws=ws)
+            continue
+        shared = fit(data, candidate, ws=ws)
+        fitted += 1
+        for name in ("v1", "v2", "v1_star", "v2_star"):
+            assert np.array_equal(getattr(shared, name), getattr(plain, name)), name
+        assert np.array_equal(shared.duals.alpha, plain.duals.alpha)
+        assert np.array_equal(shared.duals.beta, plain.duals.beta)
+    assert fitted >= 2
 
 
 # ------------------------------------------------------- multiplier solves
@@ -364,3 +416,31 @@ def test_hyperparams_validation():
         Hyperparams(c2=0.0)
     with pytest.raises(ValueError, match="non-negative"):
         Hyperparams(eps1=-0.1)
+    with pytest.raises(ValueError, match="c1 must be positive and finite"):
+        Hyperparams(c1=math.inf)
+    with pytest.raises(ValueError, match="eps1 must be finite"):
+        Hyperparams(eps1=math.nan)
+    with pytest.raises(ValueError, match="eps2 must be finite"):
+        Hyperparams(eps2=math.inf)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda p: p.update(v1=p["v1"][:-1]), "v1 has length"),
+        (lambda p: p.update(beta=p["beta"] + [0.0]), "beta has length"),
+        (lambda p: p.update(train_privileged=p["train_privileged"][:-1]), "rows"),
+        (lambda p: p.update(train_regular=p["train_regular"][0]), "2-dimensional"),
+        (lambda p: p["hyperparams"].update(c2=-1.0), "c2 must be positive"),
+        (lambda p: p.update(v2_star="oops"), "malformed"),
+    ],
+)
+def test_load_model_rejects_inconsistent_payload(tmp_path, corrupt, message):
+    data, hp = draw_well_posed(np.random.default_rng(16), "rbf")
+    path = tmp_path / "model.json"
+    save_model(fit(data, hp), path)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=message):
+        load_model(path)

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from twinpi.data import Dataset, NoiseSpec, PIDataset, gen_synthetic, min_max_normalize, split_privileged
+import twinpi.tuning as tuning
+from twinpi.linalg import NumericalError
+from twinpi.metrics import evaluate
+from twinpi.model import fit, predict
 from twinpi.tuning import (
     GridSpec,
     TuningError,
@@ -161,6 +165,60 @@ def test_validation_never_reads_validation_privileged_features():
         poked[fold] = 123.456
         result = cross_validate(PIDataset(pi.regular, poked, pi.targets), spec)
         assert result.table[0].fold_rmses[k] == baseline.table[0].fold_rmses[k]
+
+
+def _naive_fold_rmses(data, spec):
+    # Reference: every candidate fitted anew on every fold, no shared workspace.
+    folds = kfold_indices(data.n_samples, spec.folds, spec.seed)
+    out = []
+    for hp in make_grid(spec):
+        rmses = []
+        for val_idx in folds:
+            train_idx = np.setdiff1d(np.arange(data.n_samples), val_idx)
+            try:
+                model = fit(data.subset(train_idx), hp)
+            except NumericalError:
+                rmses.append(None)
+                continue
+            y_hat = predict(model, data.regular[val_idx])
+            rmses.append(evaluate(data.targets[val_idx], y_hat).rmse)
+        out.append(tuple(rmses))
+    return out
+
+
+WIDTH_GRID = GridSpec(c_lo=-2, c_hi=2, mu_lo=-3, mu_hi=1, kernel="rbf",
+                      folds=3, seed=14, max_candidates=40)
+
+
+def test_cross_validation_matches_per_candidate_fits():
+    pi = small_pi_dataset(seed=13, m=36)
+    result = cross_validate(pi, WIDTH_GRID)
+    naive = _naive_fold_rmses(pi, WIDTH_GRID)
+    assert len({hp.kernel for hp in make_grid(WIDTH_GRID)}) > 1
+    assert [r.fold_rmses for r in result.table] == naive
+    means = []
+    for rmses in naive:
+        scored = [r for r in rmses if r is not None]
+        means.append(float(np.mean(scored)) if scored else None)
+    assert [r.mean_rmse for r in result.table] == means
+    best = min((m, i) for i, m in enumerate(means) if m is not None)[1]
+    assert result.best_index == best
+
+
+def test_cross_validation_builds_one_workspace_per_fold_and_width(monkeypatch):
+    calls = []
+    original = tuning.build_workspace
+
+    def counting(data, hp):
+        calls.append(hp.kernel)
+        return original(data, hp)
+
+    monkeypatch.setattr(tuning, "build_workspace", counting)
+    result = cross_validate(small_pi_dataset(seed=15), WIDTH_GRID)
+    widths = {r.hp.kernel for r in result.table}
+    assert len(widths) > 1 and len(result.table) > len(widths)
+    assert len(calls) == WIDTH_GRID.folds * len(widths)
+    assert set(calls) == widths
 
 
 def test_all_candidates_failing_raises_with_log():
