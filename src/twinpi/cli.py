@@ -221,8 +221,11 @@ def cmd_eval(args) -> int:
 def _benchmark_one_repeat(args, spec_kind: str, spec_value: str, seed_r: int):
     """One tune->fit->eval pass; returns (twin metrics, krr metrics or None, timings).
 
-    The timings are the twin model's (tune, fit, predict) seconds.
+    The timings map each phase to its seconds: the twin model's tune, fit and
+    predict; data prep (generate or load, split, normalize, privileged split);
+    and, with ``--with-krr``, krr (tune, fit and predict of the comparator).
     """
+    start = time.perf_counter()
     if spec_kind == "synthetic":
         train_raw, test_raw = gen_synthetic(
             spec_value, args.n_train, args.n_test, NoiseSpec(args.noise, seed=seed_r + 1), seed_r
@@ -238,6 +241,7 @@ def _benchmark_one_repeat(args, spec_kind: str, spec_value: str, seed_r: int):
 
     train_n, stats = min_max_normalize(train_raw)
     pi = split_privileged(train_n)
+    data_time = time.perf_counter() - start
     grid = GridSpec(
         c_lo=args.grid_lo, c_hi=args.grid_hi, mu_lo=args.grid_lo, mu_hi=args.grid_hi,
         eps=args.eps, folds=args.folds, seed=seed_r,
@@ -259,14 +263,19 @@ def _benchmark_one_repeat(args, spec_kind: str, spec_value: str, seed_r: int):
     y_hat = predict(model, x_test)
     predict_time = time.perf_counter() - start
     twin_metrics = evaluate(y_true, y_hat)
+    timings = {"tune": tune_time, "fit": fit_time, "predict": predict_time,
+               "data prep": data_time}
 
     krr_metrics = None
     if args.with_krr:
+        start = time.perf_counter()
         regular_train = Dataset(train_n.features[:, :d_regular], train_n.targets)
         ridge, kernel = tune_krr(regular_train, grid)
         krr = fit_krr_comparator(regular_train, ridge, kernel, norm=stats)
-        krr_metrics = evaluate(y_true, krr.predict(x_test))
-    return twin_metrics, krr_metrics, (tune_time, fit_time, predict_time)
+        krr_predictions = krr.predict(x_test)
+        timings["krr"] = time.perf_counter() - start
+        krr_metrics = evaluate(y_true, krr_predictions)
+    return twin_metrics, krr_metrics, timings
 
 
 def cmd_benchmark(args) -> int:
@@ -289,18 +298,14 @@ def cmd_benchmark(args) -> int:
     for index, (kind, value) in enumerate(specs):
         name = value if kind == "synthetic" else Path(value).stem
         try:
-            twin_all, krr_all, tune_times, fit_times, predict_times = [], [], [], [], []
+            twin_all, krr_all, timings = [], [], []
             for repeat in range(args.repeats):
                 seed_r = args.seed + 7919 * index + 101 * repeat
-                twin_met, krr_met, (tune_t, fit_t, pred_t) = _benchmark_one_repeat(
-                    args, kind, value, seed_r
-                )
+                twin_met, krr_met, times = _benchmark_one_repeat(args, kind, value, seed_r)
                 twin_all.append(twin_met)
                 if krr_met is not None:
                     krr_all.append(krr_met)
-                tune_times.append(tune_t)
-                fit_times.append(fit_t)
-                predict_times.append(pred_t)
+                timings.append(times)
 
             def averaged(metrics):
                 rmse = aggregate_mean([m.rmse for m in metrics])
@@ -316,11 +321,11 @@ def cmd_benchmark(args) -> int:
                 cells += [_fmt(krr_rmse), _fmt(krr_sse), _fmt_ratio(krr_ratio)]
             cells.append("")
             rows.append(",".join(cells))
-            timing_lines.append(
-                f"{name}: tune {aggregate_mean(tune_times):.4f} s, "
-                f"fit {aggregate_mean(fit_times):.4f} s, "
-                f"predict {aggregate_mean(predict_times):.4f} s (mean over repeats)"
+            phases = ", ".join(
+                f"{phase} {aggregate_mean([t[phase] for t in timings]):.4f} s"
+                for phase in timings[0]
             )
+            timing_lines.append(f"{name}: {phases} (mean over repeats)")
             print(f"{name}: twin rmse {twin_rmse:.6f}" +
                   (f", krr rmse {krr_rmse:.6f}" if args.with_krr else ""))
         except (DataError, NumericalError, TuningError, ValueError) as exc:

@@ -320,12 +320,18 @@ def fit(
     )
 
 
-def _regular_design(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+def _prediction_rows(x: np.ndarray, n_columns: int, what: str) -> np.ndarray:
+    """``x`` as a 2-D float array, rejecting a wrong column count or NaN/inf."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.n_regular_features:
-        raise ValueError(
-            f"expected {model.n_regular_features} regular feature columns, got {x.shape[1]}"
-        )
+    if x.shape[1] != n_columns:
+        raise ValueError(f"expected {n_columns} {what} columns, got {x.shape[1]}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("prediction inputs must be finite; found NaN or inf")
+    return x
+
+
+def _regular_design(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    x = _prediction_rows(x, model.n_regular_features, "regular feature")
     if model.norm is not None:
         x = model.norm.transform_features(x)
     if model.hp.kernel is None:
@@ -396,11 +402,7 @@ class KRRModel:
     norm: NormStats | None = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.train_features.shape[1]:
-            raise ValueError(
-                f"expected {self.train_features.shape[1]} feature columns, got {x.shape[1]}"
-            )
+        x = _prediction_rows(x, self.train_features.shape[1], "feature")
         if self.norm is not None:
             x = self.norm.transform_features(x)
         return gram(x, self.train_features, self.kernel) @ self.coef

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -173,7 +174,14 @@ def test_benchmark_small_run_with_comparator(tmp_path, capsys):
     assert cells[0] == "f2" and cells[1] == "ok"
     assert np.isfinite(float(cells[2])) and np.isfinite(float(cells[5]))
     assert (out / "timing.txt").exists()
-    assert "f2: tune " in (out / "timing.txt").read_text()
+    timing = (out / "timing.txt").read_text()
+    assert "f2: tune " in timing
+    assert re.fullmatch(
+        r"f2: tune \S+ s, fit \S+ s, predict \S+ s, data prep \S+ s, krr \S+ s "
+        r"\(mean over repeats\)\n",
+        timing,
+    )
+    assert timing.strip() in capsys.readouterr().out
 
 
 def test_benchmark_records_failures_and_continues(tmp_path):

@@ -1,11 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twinpi import kernels
 from twinpi.kernels import KernelSpec, gram, kernel_eval
+
+
+def broadcast_gram(a, b, spec):
+    """Reference: the pairwise n_a x n_b x d broadcast, reduced over d."""
+    if spec.kind == "linear":
+        return np.sum(a[:, None, :] * b[None, :, :], axis=-1)
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    return np.exp(-d2 / (2.0 * spec.mu**2))
 
 
 def test_spec_validation():
@@ -48,7 +58,7 @@ def test_rbf_self_gram_diagonal_and_symmetry():
     k = gram(rows, rows, KernelSpec("rbf", mu=0.8))
     assert k.shape == (3, 3)
     np.testing.assert_array_equal(np.diag(k), np.ones(3))
-    assert np.max(np.abs(k - k.T)) <= 1e-12
+    np.testing.assert_array_equal(k, k.T)
     assert np.all(k > 0) and np.all(k <= 1)
 
 
@@ -84,6 +94,50 @@ def test_gram_transpose_exactness():
     a, b = rng.normal(size=(7, 4)), rng.normal(size=(5, 4))
     for spec in (KernelSpec("linear"), KernelSpec("rbf", mu=0.7)):
         np.testing.assert_array_equal(gram(a, b, spec).T, gram(b, a, spec))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_gram_equals_broadcast_bitwise_for_short_rows(d, monkeypatch):
+    # 4 rows per block against 77 columns: 84 blocks, the last one ragged
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4 * 77)
+    rng = np.random.default_rng(10 + d)
+    a, b = rng.normal(size=(333, d)), rng.normal(size=(77, d))
+    for spec in (KernelSpec("linear"), KernelSpec("rbf", mu=0.9)):
+        assert np.array_equal(gram(a, b, spec), broadcast_gram(a, b, spec))
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_gram_matches_broadcast_to_rounding_for_long_rows(d, monkeypatch):
+    # numpy sums an axis of 8 or more pairwise, so only rounding may differ
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4 * 77)
+    rng = np.random.default_rng(20 + d)
+    a, b = rng.normal(size=(333, d)), rng.normal(size=(77, d))
+    linear = KernelSpec("linear")
+    scale = np.abs(a) @ np.abs(b).T  # bounds the rounding of a cancelling sum
+    assert np.all(np.abs(gram(a, b, linear) - broadcast_gram(a, b, linear)) <= 1e-14 * scale)
+    rbf = KernelSpec("rbf", mu=math.sqrt(d))  # exponents of order one
+    np.testing.assert_allclose(gram(a, b, rbf), broadcast_gram(a, b, rbf), rtol=1e-14, atol=0)
+    for spec in (linear, rbf):
+        np.testing.assert_array_equal(gram(a, b, spec).T, gram(b, a, spec))
+    np.testing.assert_array_equal(np.diag(gram(a, a, rbf)), np.ones(333))
+
+
+def test_gram_without_feature_columns():
+    a, b = np.empty((4, 0)), np.empty((3, 0))
+    np.testing.assert_array_equal(gram(a, b, KernelSpec("rbf", mu=0.5)), np.ones((4, 3)))
+    np.testing.assert_array_equal(gram(a, b, KernelSpec("linear")), np.zeros((4, 3)))
+
+
+def test_gram_peak_memory_is_about_the_output():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(4000, 3)), rng.normal(size=(500, 3))
+    tracemalloc.start()
+    try:
+        k = gram(a, b, KernelSpec("rbf", mu=0.7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * k.nbytes
 
 
 @given(

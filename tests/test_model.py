@@ -263,6 +263,19 @@ def test_predict_dimension_check():
         predict(model, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", mu=0.9)])
+def test_predict_rejects_non_finite_inputs(bad, kernel):
+    hp = Hyperparams(kernel=kernel)
+    model = fit(REF_DATA, hp)
+    x = np.array(REF_DATA.regular[:3], dtype=float)
+    x[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        predict(model, x)
+    with pytest.raises(ValueError, match="finite"):
+        bound_functions(model, x)
+
+
 def test_predict_applies_stored_normalization():
     raw = Dataset([[0.0, 10.0], [2.0, 20.0], [4.0, 40.0]], [1.0, 2.0, 3.0])
     normalized, stats = min_max_normalize(raw)
@@ -380,6 +393,15 @@ def test_krr_linear_kernel_recovers_slope():
 def test_krr_validation():
     with pytest.raises(ValueError, match="ridge"):
         fit_krr_comparator(Dataset([[1.0]], [1.0]), ridge=0.0, kernel=KernelSpec("linear"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_krr_predict_rejects_non_finite_inputs(bad):
+    model = fit_krr_comparator(
+        Dataset([[0.0], [1.0]], [0.0, 1.0]), ridge=1.0, kernel=KernelSpec("rbf", mu=1.0)
+    )
+    with pytest.raises(ValueError, match="finite"):
+        model.predict([[0.5], [bad]])
 
 
 # ----------------------------------------------------------- serialization
