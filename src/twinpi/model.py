@@ -26,12 +26,18 @@ The products S, H, S H, S 1, H 1, S H 1 and G^T G depend only on the
 training rows and the kernel, so a :class:`FitWorkspace` computes each once,
 on first use, and reuses it for both sides of a fit and for every candidate
 (c1..c6, eps) fitted on the same rows and kernel width.
+
+A fit is accepted only when its six optimality residuals pass the KKT gate.
+The gate is checked side by side: the down-bound side is solved, recovered
+and checked first, and a down-side rejection raises before the up-bound
+multiplier solve and recovery run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -42,7 +48,7 @@ from .data import DataError, Dataset, NormStats, PIDataset
 from .kernels import KernelSpec, gram
 from .linalg import NumericalError, solve_checked
 
-#: A fit is accepted only if all six optimality residuals are below
+#: A fit is accepted only if all six optimality residuals are at most
 #: KKT_TOL_SCALE * (1 + ||y||_inf).
 KKT_TOL_SCALE = 1e-8
 
@@ -233,31 +239,51 @@ def solve_beta(ws: FitWorkspace, y: np.ndarray, hp: Hyperparams) -> np.ndarray:
     return solve_checked(a, rhs, context="up-bound multiplier system")
 
 
-def _residuals_from_workspace(
-    ws: FitWorkspace,
-    y: np.ndarray,
-    hp: Hyperparams,
-    v1: np.ndarray,
-    v2: np.ndarray,
-    v1_star: np.ndarray,
-    v2_star: np.ndarray,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-) -> KKTResiduals:
+def _norm_inf(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v)))
+
+
+def _down_residuals(
+    ws: FitWorkspace, y: np.ndarray, hp: Hyperparams,
+    v1: np.ndarray, v1_star: np.ndarray, alpha: np.ndarray,
+) -> tuple[float, float, float]:
+    """Down-bound stationarity, correcting and feasibility residuals."""
     e = ws.ones
     g, gs = ws.G, ws.G_star
-
-    def norm_inf(v: np.ndarray) -> float:
-        return float(np.max(np.abs(v)))
-
-    return KKTResiduals(
-        down_stationarity=norm_inf(hp.c1 * v1 - g.T @ (y - g @ v1) - g.T @ alpha),
-        down_correcting=norm_inf(hp.c2 * v1_star + hp.c3 * gs.T @ e + gs.T @ alpha),
-        down_feasibility=norm_inf(y - g @ v1 + hp.eps1 * e + gs @ v1_star),
-        up_stationarity=norm_inf(hp.c4 * v2 + g.T @ (g @ v2 - y) + g.T @ beta),
-        up_correcting=norm_inf(hp.c5 * v2_star + hp.c6 * gs.T @ e + gs.T @ beta),
-        up_feasibility=norm_inf(g @ v2 - y + hp.eps2 * e + gs @ v2_star),
+    return (
+        _norm_inf(hp.c1 * v1 - g.T @ (y - g @ v1) - g.T @ alpha),
+        _norm_inf(hp.c2 * v1_star + hp.c3 * gs.T @ e + gs.T @ alpha),
+        _norm_inf(y - g @ v1 + hp.eps1 * e + gs @ v1_star),
     )
+
+
+def _up_residuals(
+    ws: FitWorkspace, y: np.ndarray, hp: Hyperparams,
+    v2: np.ndarray, v2_star: np.ndarray, beta: np.ndarray,
+) -> tuple[float, float, float]:
+    """Up-bound stationarity, correcting and feasibility residuals."""
+    e = ws.ones
+    g, gs = ws.G, ws.G_star
+    return (
+        _norm_inf(hp.c4 * v2 + g.T @ (g @ v2 - y) + g.T @ beta),
+        _norm_inf(hp.c5 * v2_star + hp.c6 * gs.T @ e + gs.T @ beta),
+        _norm_inf(g @ v2 - y + hp.eps2 * e + gs @ v2_star),
+    )
+
+
+_RESIDUAL_KINDS = ("stationarity", "correcting", "feasibility")
+
+
+def _gate(side: str, residuals: tuple[float, float, float], tol: float) -> None:
+    """Raise NumericalError unless every residual of one side is at most ``tol``."""
+    failed = [i for i, r in enumerate(residuals) if not r <= tol]
+    if failed:
+        worst = max(failed, key=lambda i: residuals[i])
+        raise NumericalError(
+            f"fit rejected: {side} {_RESIDUAL_KINDS[worst]} optimality residual "
+            f"{residuals[worst]:.3e} exceeds {tol:.3e}; the multiplier system is too "
+            f"ill-conditioned for these hyperparameters"
+        )
 
 
 def fit(
@@ -268,15 +294,19 @@ def fit(
 ) -> TrainedModel:
     """Fit both bound regressors and their correcting functions.
 
-    After the multiplier solves, the weights are recovered from
+    After each side's multiplier solve, its weights are recovered from
 
         (G^T G + c1 I) v1 = G^T (y + alpha)    v1* = -(1/c2) G*^T (c3 1 + alpha)
         (G^T G + c4 I) v2 = G^T (y - beta)     v2* = -(1/c5) G*^T (c6 1 + beta)
 
-    A fit is returned only when all six optimality residuals come out below
+    A fit is returned only when all six optimality residuals come out at most
     ``KKT_TOL_SCALE * (1 + ||y||_inf)``; an ill-conditioned hyperparameter
     choice whose per-solve checks pass but whose recovered solution violates
-    the optimality system fails loudly instead of returning garbage.
+    the optimality system fails loudly instead of returning garbage. The gate
+    is checked one side at a time, down side first: a down-side rejection
+    raises before the up-side multiplier solve and recovery run, so a rejected
+    fit costs about half an accepted one. The message names the side and the
+    residual (stationarity, correcting or feasibility) that failed.
 
     ``norm`` is not applied here; training data is expected to be already
     normalized by the caller, and the stats ride along for prediction time.
@@ -288,24 +318,19 @@ def fit(
     if ws is None:
         ws = build_workspace(data, hp)
     y = _check_targets(ws, data.targets)
-    alpha = solve_alpha(ws, y, hp)
-    beta = solve_beta(ws, y, hp)
+    tol = KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(y))))
 
+    alpha = solve_alpha(ws, y, hp)
     gtg = ws.GtG
     eye = np.eye(gtg.shape[0])
     v1 = solve_checked(gtg + hp.c1 * eye, ws.G.T @ (y + alpha), context="down-bound recovery")
-    v2 = solve_checked(gtg + hp.c4 * eye, ws.G.T @ (y - beta), context="up-bound recovery")
     v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
-    v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
+    _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
 
-    residuals = _residuals_from_workspace(ws, y, hp, v1, v2, v1_star, v2_star, alpha, beta)
-    tol = KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(y))))
-    if residuals.max_residual() > tol:
-        raise NumericalError(
-            f"fit rejected: optimality residual {residuals.max_residual():.3e} exceeds "
-            f"{tol:.3e}; the multiplier system is too ill-conditioned for these "
-            f"hyperparameters"
-        )
+    beta = solve_beta(ws, y, hp)
+    v2 = solve_checked(gtg + hp.c4 * eye, ws.G.T @ (y - beta), context="up-bound recovery")
+    v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
+    _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
 
     return TrainedModel(
         v1=v1,
@@ -365,12 +390,7 @@ def correcting_values(model: TrainedModel, x_star: np.ndarray) -> tuple[np.ndarr
     Training-time diagnostic only: inputs are expected in the same
     (already normalized) space the model was fitted in.
     """
-    x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
-    if x_star.shape[1] != model.train_privileged.shape[1]:
-        raise ValueError(
-            f"expected {model.train_privileged.shape[1]} privileged feature columns, "
-            f"got {x_star.shape[1]}"
-        )
+    x_star = _prediction_rows(x_star, model.train_privileged.shape[1], "privileged feature")
     if model.hp.kernel is None:
         phi = x_star
     else:
@@ -384,10 +404,9 @@ def kkt_residuals(model: TrainedModel, data: PIDataset) -> KKTResiduals:
     """Infinity norms of all six optimality equations on the training data."""
     ws = build_workspace(data, model.hp)
     y = _check_targets(ws, data.targets)
-    return _residuals_from_workspace(
-        ws, y, model.hp,
-        model.v1, model.v2, model.v1_star, model.v2_star,
-        model.duals.alpha, model.duals.beta,
+    return KKTResiduals(
+        *_down_residuals(ws, y, model.hp, model.v1, model.v1_star, model.duals.alpha),
+        *_up_residuals(ws, y, model.hp, model.v2, model.v2_star, model.duals.beta),
     )
 
 
@@ -435,7 +454,10 @@ MODEL_FORMAT = "twinpi-model-v1"
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    """Serialize to JSON with shortest round-trip floats (exact decimal round trip)."""
+    """Serialize to JSON with shortest round-trip floats (exact decimal round trip).
+
+    The file is replaced atomically: readers see the old file or the new one.
+    """
     hp = model.hp
     payload = {
         "format": MODEL_FORMAT,
@@ -457,7 +479,16 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         if model.norm is None
         else {"col_min": model.norm.col_min.tolist(), "col_max": model.norm.col_max.tolist()},
     }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    path = Path(path)
+    # Write a sibling file and rename it onto the target, so a failed write
+    # never leaves a truncated model file behind.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _model_array(payload: dict, key: str, ndim: int) -> np.ndarray:

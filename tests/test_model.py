@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from twinpi.data import (
     split_privileged,
 )
 from twinpi.kernels import KernelSpec
-from twinpi.linalg import NumericalError
+from twinpi.linalg import NumericalError, solve_checked
+import twinpi.model
 from twinpi.model import (
+    KKT_TOL_SCALE,
     Hyperparams,
     bound_functions,
     build_workspace,
@@ -212,16 +216,98 @@ def test_fit_satisfies_primal_equality():
     assert np.max(np.abs(residual)) <= 1e-8 * (1 + np.max(np.abs(REF_DATA.targets)))
 
 
-def test_fit_rejects_hopelessly_conditioned_hyperparameters():
-    rng = np.random.default_rng(8)
+def _clustered_data() -> PIDataset:
     # a wide Gaussian on many clustered points drives the multiplier system
     # past the optimality gate
+    rng = np.random.default_rng(8)
     regular = rng.uniform(0, 1, size=(120, 3))
     privileged = rng.uniform(0, 1, size=(120, 2))
     targets = rng.uniform(0, 1, size=120)
-    data = PIDataset(regular, privileged, targets)
+    return PIDataset(regular, privileged, targets)
+
+
+def test_fit_rejects_hopelessly_conditioned_hyperparameters():
     with pytest.raises(NumericalError, match="fit rejected|residual"):
-        fit(data, Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
+        fit(_clustered_data(), Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
+
+
+def _reference_fit(data, hp):
+    """Both multiplier solves, all four recoveries, then the six-residual gate.
+
+    ``fit`` checks the same gate one side at a time; this keeps the
+    all-at-once order as the reference it must agree with.
+    """
+    ws = build_workspace(data, hp)
+    y = np.asarray(data.targets, dtype=float)
+    alpha = solve_alpha(ws, y, hp)
+    beta = solve_beta(ws, y, hp)
+
+    g, gs, e = ws.G, ws.G_star, ws.ones
+    eye = np.eye(ws.GtG.shape[0])
+    v1 = solve_checked(ws.GtG + hp.c1 * eye, g.T @ (y + alpha))
+    v2 = solve_checked(ws.GtG + hp.c4 * eye, g.T @ (y - beta))
+    v1_star = -(gs.T @ (hp.c3 * e + alpha)) / hp.c2
+    v2_star = -(gs.T @ (hp.c6 * e + beta)) / hp.c5
+
+    residuals = [
+        hp.c1 * v1 - g.T @ (y - g @ v1) - g.T @ alpha,
+        hp.c2 * v1_star + hp.c3 * gs.T @ e + gs.T @ alpha,
+        y - g @ v1 + hp.eps1 * e + gs @ v1_star,
+        hp.c4 * v2 + g.T @ (g @ v2 - y) + g.T @ beta,
+        hp.c5 * v2_star + hp.c6 * gs.T @ e + gs.T @ beta,
+        g @ v2 - y + hp.eps2 * e + gs @ v2_star,
+    ]
+    worst = max(float(np.max(np.abs(r))) for r in residuals)
+    if worst > KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(y)))):
+        raise NumericalError(f"fit rejected: optimality residual {worst:.3e}")
+    return {"v1": v1, "v2": v2, "v1_star": v1_star, "v2_star": v2_star,
+            "alpha": alpha, "beta": beta}
+
+
+def test_side_by_side_gate_agrees_with_six_residual_gate():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(64, 3))
+    y = np.sin(x[:, 0]) + x[:, 1] * x[:, 2] + 0.1 * rng.normal(size=64)
+    data = PIDataset(x[:, :2], x[:, 2:], y)
+    outcomes = {"accepted": 0, "down-bound": 0, "up-bound": 0}
+    for k, exps in itertools.product((-3, -1, 0, 2), itertools.product((-2, 0, 2), repeat=3)):
+        c = [2.0**p for p in exps]
+        hp = Hyperparams(
+            c1=c[0], c2=c[1], c3=c[2], c4=c[1], c5=c[2], c6=c[0],
+            kernel=KernelSpec("rbf", mu=2.0**k),
+        )
+        try:
+            want = _reference_fit(data, hp)
+        except NumericalError:
+            with pytest.raises(NumericalError) as info:
+                fit(data, hp)
+            message = str(info.value)
+            if message.startswith("fit rejected: "):  # the gate, not a failed solve
+                outcomes[message.split()[2]] += 1
+            continue
+        got = fit(data, hp)
+        outcomes["accepted"] += 1
+        for name in ("v1", "v2", "v1_star", "v2_star"):
+            assert np.array_equal(getattr(got, name), want[name]), (hp, name)
+        assert np.array_equal(got.duals.alpha, want["alpha"]), hp
+        assert np.array_equal(got.duals.beta, want["beta"]), hp
+    # the grid covers acceptance and a gate rejection on each side
+    assert min(outcomes.values()) >= 1, outcomes
+
+
+def test_down_side_rejection_skips_up_side_solve(monkeypatch):
+    calls = []
+
+    def counting_solve_beta(*args, **kwargs):
+        calls.append(args)
+        return solve_beta(*args, **kwargs)
+
+    monkeypatch.setattr(twinpi.model, "solve_beta", counting_solve_beta)
+    with pytest.raises(NumericalError, match=r"fit rejected: down-bound \w+ optimality residual"):
+        fit(_clustered_data(), Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
+    assert calls == []
+    fit(REF_DATA, REF_HP)
+    assert len(calls) == 1  # the counter sees the up side of an accepted fit
 
 
 # ----------------------------------------------------------- predictions
@@ -331,6 +417,15 @@ def test_correcting_values_shape_and_dimension_check():
         correcting_values(model, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_correcting_values_rejects_non_finite_inputs(bad):
+    model = fit(REF_DATA, REF_HP)
+    x_star = np.array(REF_DATA.privileged, dtype=float)
+    x_star[2, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        correcting_values(model, x_star)
+
+
 # -------------------------------------------------------------- residuals
 
 
@@ -431,6 +526,25 @@ def test_model_round_trip_is_exact(tmp_path):
     probe = rng.normal(size=(4, data.regular.shape[1]))
     # loaded model carries normalization; compare through the same raw inputs
     np.testing.assert_array_equal(predict(back, probe), predict(model, probe))
+
+
+def test_failed_save_keeps_the_previous_model_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(fit(REF_DATA, REF_HP), path)
+    before = path.read_bytes()
+    other = fit(REF_DATA, Hyperparams(c1=2.0, eps1=0.02, eps2=0.02))
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="no space"):
+        save_model(other, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_hyperparams_validation():
