@@ -27,6 +27,11 @@ training rows and the kernel, so a :class:`FitWorkspace` computes each once,
 on first use, and reuses it for both sides of a fit and for every candidate
 (c1..c6, eps) fitted on the same rows and kernel width.
 
+Kernel-mode evaluation (``predict``, ``bound_functions``,
+``correcting_values`` and ``KRRModel.predict``) forms the cross-Gram between
+the inputs and the training rows one block of rows at a time and keeps only
+each block's products with the weight vectors, so no n x m array exists.
+
 A fit is accepted only when its six optimality residuals pass the KKT gate.
 The gate is checked side by side: the down-bound side is solved, recovered
 and checked first, and a down-side rejection raises before the up-bound
@@ -211,7 +216,11 @@ def _multiplier_system(
     ws: FitWorkspace, y: np.ndarray, c_reg: float, c_corr: float, c_drift: float, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
     e = ws.ones
-    a = ws.S + (c_reg / c_corr) * ws.H + (1.0 / c_corr) * ws.SH
+    # Built in place; the sum is S + (c_reg/c_corr) H + (1/c_corr) SH bit for
+    # bit, since floating-point addition is commutative.
+    a = ws.H * (c_reg / c_corr)
+    a += ws.S
+    a += ws.SH * (1.0 / c_corr)
     rhs = c_reg * y + c_reg * eps * e - (c_reg * c_drift / c_corr) * ws.He + eps * ws.Se - (
         c_drift / c_corr
     ) * ws.SHe
@@ -274,6 +283,13 @@ def _up_residuals(
 _RESIDUAL_KINDS = ("stationarity", "correcting", "feasibility")
 
 
+def _plus_diagonal(a: np.ndarray, c: float) -> np.ndarray:
+    """``a + c * I`` bit for bit (off the diagonal ``a + 0.0``), without the identity."""
+    out = a + 0.0
+    out.flat[:: a.shape[0] + 1] += c
+    return out
+
+
 def _gate(side: str, residuals: tuple[float, float, float], tol: float) -> None:
     """Raise NumericalError unless every residual of one side is at most ``tol``."""
     failed = [i for i, r in enumerate(residuals) if not r <= tol]
@@ -322,13 +338,16 @@ def fit(
 
     alpha = solve_alpha(ws, y, hp)
     gtg = ws.GtG
-    eye = np.eye(gtg.shape[0])
-    v1 = solve_checked(gtg + hp.c1 * eye, ws.G.T @ (y + alpha), context="down-bound recovery")
+    v1 = solve_checked(
+        _plus_diagonal(gtg, hp.c1), ws.G.T @ (y + alpha), context="down-bound recovery"
+    )
     v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
     _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
 
     beta = solve_beta(ws, y, hp)
-    v2 = solve_checked(gtg + hp.c4 * eye, ws.G.T @ (y - beta), context="up-bound recovery")
+    v2 = solve_checked(
+        _plus_diagonal(gtg, hp.c4), ws.G.T @ (y - beta), context="up-bound recovery"
+    )
     v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
     _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
 
@@ -355,33 +374,71 @@ def _prediction_rows(x: np.ndarray, n_columns: int, what: str) -> np.ndarray:
     return x
 
 
-def _regular_design(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+#: Rows of the cross-Gram formed per ``gram`` call in kernel-mode evaluation
+#: (32 and 64 were the fastest of 32 to 1024 at 20000 x 1200). The blocked
+#: products equal the full ``gram(x, rows) @ w`` bit for bit only because
+#: every block starts at a multiple of 4 (single-threaded OpenBLAS takes the
+#: rows of a matrix-vector product four at a time) and no block but the only
+#: one is a single row (a 1-row product is summed another way).
+_PREDICT_BLOCK_ROWS = 64
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each row block of ``n`` rows; a 1-row tail joins the block before it."""
+    stops = list(range(_PREDICT_BLOCK_ROWS, n, _PREDICT_BLOCK_ROWS))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    bounds = [0, *stops, n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _design_products(
+    x: np.ndarray, train_rows: np.ndarray, kernel: KernelSpec | None, *weights: np.ndarray
+) -> list[np.ndarray]:
+    """The design of ``x`` times each weight vector ``w`` (bias excluded).
+
+    Linear mode (``kernel`` None) returns ``x @ w``. Kernel mode returns
+    ``gram(x, train_rows, kernel) @ w`` but forms that cross-Gram one block of
+    at most ``_PREDICT_BLOCK_ROWS + 1`` rows at a time, with one
+    matrix-vector product per weight vector (a stacked matrix product rounds
+    differently), so no n x m array exists.
+    """
+    if kernel is None:
+        return [x @ w for w in weights]
+    outs = [np.empty(x.shape[0]) for _ in weights]
+    for start, stop in _row_blocks(x.shape[0]):
+        block = gram(x[start:stop], train_rows, kernel)
+        for out, w in zip(outs, weights):
+            np.matmul(block, w, out=out[start:stop])
+    return outs
+
+
+def _regular_products(model: TrainedModel, x: np.ndarray, *weights: np.ndarray) -> list[np.ndarray]:
+    """Checked and normalized regular inputs, times each weight vector."""
     x = _prediction_rows(x, model.n_regular_features, "regular feature")
     if model.norm is not None:
         x = model.norm.transform_features(x)
-    if model.hp.kernel is None:
-        return x
-    return gram(x, model.train_regular, model.hp.kernel)
+    return _design_products(x, model.train_regular, model.hp.kernel, *weights)
 
 
 def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Average of the two bound regressors over regular features only.
 
     Applies the stored training normalization to ``x`` first when the model
-    carries one. Privileged features are not a parameter by design.
+    carries one. Privileged features are not a parameter by design. In kernel
+    mode the cross-Gram with the training rows is formed one row block at a
+    time, so memory beyond the inputs and the output stays at one block.
     """
-    phi = _regular_design(model, x)
     weights = model.v1[:-1] + model.v2[:-1]
     bias = model.v1[-1] + model.v2[-1]
-    return 0.5 * (phi @ weights + bias)
+    (scores,) = _regular_products(model, x, weights)
+    return 0.5 * (scores + bias)
 
 
 def bound_functions(model: TrainedModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the down- and up-bound regressors separately."""
-    phi = _regular_design(model, x)
-    r1 = phi @ model.v1[:-1] + model.v1[-1]
-    r2 = phi @ model.v2[:-1] + model.v2[-1]
-    return r1, r2
+    s1, s2 = _regular_products(model, x, model.v1[:-1], model.v2[:-1])
+    return s1 + model.v1[-1], s2 + model.v2[-1]
 
 
 def correcting_values(model: TrainedModel, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,13 +448,10 @@ def correcting_values(model: TrainedModel, x_star: np.ndarray) -> tuple[np.ndarr
     (already normalized) space the model was fitted in.
     """
     x_star = _prediction_rows(x_star, model.train_privileged.shape[1], "privileged feature")
-    if model.hp.kernel is None:
-        phi = x_star
-    else:
-        phi = gram(x_star, model.train_privileged, model.hp.kernel)
-    p1 = phi @ model.v1_star[:-1] + model.v1_star[-1]
-    p2 = phi @ model.v2_star[:-1] + model.v2_star[-1]
-    return p1, p2
+    s1, s2 = _design_products(
+        x_star, model.train_privileged, model.hp.kernel, model.v1_star[:-1], model.v2_star[:-1]
+    )
+    return s1 + model.v1_star[-1], s2 + model.v2_star[-1]
 
 
 def kkt_residuals(model: TrainedModel, data: PIDataset) -> KKTResiduals:
@@ -421,10 +475,11 @@ class KRRModel:
     norm: NormStats | None = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """Kernel ridge prediction, the cross-Gram formed one row block at a time."""
         x = _prediction_rows(x, self.train_features.shape[1], "feature")
         if self.norm is not None:
             x = self.norm.transform_features(x)
-        return gram(x, self.train_features, self.kernel) @ self.coef
+        return _design_products(x, self.train_features, self.kernel, self.coef)[0]
 
 
 def fit_krr_comparator(
@@ -438,7 +493,7 @@ def fit_krr_comparator(
         raise ValueError(f"ridge must be positive, got {ridge}")
     k = gram(data.features, data.features, kernel)
     coef = solve_checked(
-        k + ridge * np.eye(k.shape[0]), np.asarray(data.targets, dtype=float),
+        _plus_diagonal(k, ridge), np.asarray(data.targets, dtype=float),
         context="kernel ridge system",
     )
     return KRRModel(

@@ -1,5 +1,9 @@
 """Shared test helpers: random well-posed training instances for cross-checks."""
 
+import contextlib
+import ctypes
+from pathlib import Path
+
 import numpy as np
 
 from twinpi.data import PIDataset
@@ -67,3 +71,29 @@ def draw_well_posed(rng, kernel_kind):
 def rel_err(a, b):
     """Infinity-norm difference scaled by 1 + the reference magnitude."""
     return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))))
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread.
+
+    Multi-threaded OpenBLAS splits a matrix-vector product's rows between
+    threads at points that depend on the row count, so products over
+    different row ranges agree bit for bit only single-threaded, which is
+    also how the benchmark's recorded outputs were produced. Without a
+    bundled OpenBLAS the body runs at the library's own thread count.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    handles = [ctypes.CDLL(str(lib)) for lib in sorted(libs.glob("libscipy_openblas*"))]
+    handles = [h for h in handles if hasattr(h, "scipy_openblas_set_num_threads64_")]
+    if not handles:
+        yield
+        return
+    lib = handles[0]
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)

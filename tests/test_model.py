@@ -2,11 +2,12 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from support import draw_well_posed, rel_err
+from support import draw_well_posed, rel_err, single_blas_thread
 
 from twinpi.data import (
     DataError,
@@ -16,12 +17,15 @@ from twinpi.data import (
     min_max_normalize,
     split_privileged,
 )
-from twinpi.kernels import KernelSpec
+from twinpi.kernels import KernelSpec, gram
 from twinpi.linalg import NumericalError, solve_checked
 import twinpi.model
 from twinpi.model import (
     KKT_TOL_SCALE,
+    DualSolution,
     Hyperparams,
+    KRRModel,
+    TrainedModel,
     bound_functions,
     build_workspace,
     correcting_values,
@@ -34,6 +38,7 @@ from twinpi.model import (
     solve_alpha,
     solve_beta,
 )
+from twinpi.model import _multiplier_system, _plus_diagonal, _row_blocks
 from twinpi.oracle import solve_stacked_kkt
 
 # Small reference instance with collinear privileged data: the constraint
@@ -100,6 +105,18 @@ def test_workspace_products_match_their_definitions():
     np.testing.assert_array_equal(ws.SHe, s @ (h @ ws.ones))
     np.testing.assert_array_equal(ws.GtG, ws.G.T @ ws.G)
     assert ws.SH is ws.SH  # computed once, then kept
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec("rbf", mu=0.7), KernelSpec("linear")])
+def test_systems_assembled_in_place_equal_their_expressions_bitwise(kernel):
+    rng = np.random.default_rng(4)
+    data = PIDataset(rng.normal(size=(9, 2)), rng.normal(size=(9, 3)), rng.normal(size=9))
+    ws = build_workspace(data, Hyperparams(kernel=kernel))
+    eye = np.eye(ws.GtG.shape[0])
+    for c_reg, c_corr in [(1.0, 1.0), (0.3, 7.0), (2.0**-5, 2.0**4), (5.0, 1.0 / 3.0)]:
+        a, _ = _multiplier_system(ws, data.targets, c_reg, c_corr, 0.5, 0.01)
+        assert np.array_equal(a, ws.S + (c_reg / c_corr) * ws.H + (1.0 / c_corr) * ws.SH)
+        assert np.array_equal(_plus_diagonal(ws.GtG, c_reg), ws.GtG + c_reg * eye)
 
 
 def test_fits_sharing_one_workspace_equal_plain_fits_bitwise():
@@ -386,6 +403,85 @@ def test_row_permutation_leaves_predictions_unchanged():
             data.regular[perm], data.privileged[perm], data.targets[perm]
         )
         np.testing.assert_allclose(predict(fit(permuted, hp), probe), baseline, atol=1e-8)
+
+
+def _kernel_model(rng, kind, m):
+    """A kernel-mode model with random weights; evaluation needs no fit."""
+    return TrainedModel(
+        v1=rng.normal(size=m + 1),
+        v2=rng.normal(size=m + 1),
+        v1_star=rng.normal(size=m + 1),
+        v2_star=rng.normal(size=m + 1),
+        duals=DualSolution(alpha=np.zeros(m), beta=np.zeros(m)),
+        hp=Hyperparams(kernel=KernelSpec(kind, mu=0.8)),
+        train_regular=rng.normal(size=(m, 2)),
+        train_privileged=rng.normal(size=(m, 3)),
+    )
+
+
+@pytest.mark.parametrize("m", [7, 241])
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+@pytest.mark.parametrize("n", [0, 1, 3, 63, 64, 65, 128, 129, 1025])
+def test_kernel_evaluation_equals_full_cross_gram_bitwise(n, kind, m):
+    rng = np.random.default_rng(n + m)
+    model = _kernel_model(rng, kind, m)
+    krr = KRRModel(model.train_regular, rng.normal(size=m), 0.5, model.hp.kernel)
+    x, x_star = rng.normal(size=(n, 2)), rng.normal(size=(n, 3))
+    with single_blas_thread():
+        # reference: the whole n x m cross-Gram, then one product per weight vector
+        k = gram(x, model.train_regular, model.hp.kernel)
+        k_star = gram(x_star, model.train_privileged, model.hp.kernel)
+        v1, v2, v1s, v2s = model.v1, model.v2, model.v1_star, model.v2_star
+        want_predict = 0.5 * (k @ (v1[:-1] + v2[:-1]) + (v1[-1] + v2[-1]))
+        want_bounds = (k @ v1[:-1] + v1[-1], k @ v2[:-1] + v2[-1])
+        want_correcting = (k_star @ v1s[:-1] + v1s[-1], k_star @ v2s[:-1] + v2s[-1])
+        want_krr = k @ krr.coef
+
+        assert np.array_equal(predict(model, x), want_predict)
+        for got, want in zip(bound_functions(model, x), want_bounds):
+            assert np.array_equal(got, want)
+        for got, want in zip(correcting_values(model, x_star), want_correcting):
+            assert np.array_equal(got, want)
+        assert np.array_equal(krr.predict(x), want_krr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 63, 64, 65, 66, 67, 69, 127, 129, 193, 1025])
+def test_row_blocks_give_the_full_matrix_vector_product_bitwise(n):
+    """Guards the BLAS behaviour streamed evaluation relies on.
+
+    Single-threaded OpenBLAS gives each row of ``a @ w`` the same rounding
+    in a row block as in the whole product only when the block starts at a
+    multiple of 4 and is not a lone row; a numpy or OpenBLAS upgrade that
+    changes this fails here, not only in the benchmark's recorded outputs.
+    """
+    blocks = _row_blocks(n)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    assert all(start % 4 == 0 for start, _ in blocks)
+    assert n == 1 or all(stop - start > 1 for start, stop in blocks)
+
+    rng = np.random.default_rng(n)
+    a, w = rng.normal(size=(n, 1200)), rng.normal(size=1200)
+    with single_blas_thread():
+        full = a @ w
+        blocked = np.empty(n)
+        for start, stop in blocks:
+            np.matmul(a[start:stop], w, out=blocked[start:stop])
+    assert np.array_equal(blocked, full)
+
+
+def test_kernel_predict_holds_one_row_block():
+    rng = np.random.default_rng(8)
+    n, m = 5000, 1000
+    model = _kernel_model(rng, "rbf", m)
+    x = rng.normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        predict(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * n * m * 8  # a tenth of the full 40 MB cross-Gram
 
 
 # ---------------------------------------------------- correcting functions
