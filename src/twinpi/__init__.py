@@ -27,7 +27,7 @@ from .data import (
     train_test_split,
 )
 from .kernels import KernelSpec, gram, kernel_eval
-from .linalg import NumericalError, solve_checked
+from .linalg import LUFactors, NumericalError, solve_checked
 from .metrics import Metrics, aggregate_mean, evaluate
 from .model import (
     DualSolution,
@@ -42,6 +42,7 @@ from .model import (
     fit,
     fit_krr_comparator,
     kkt_residuals,
+    krr_gram,
     load_model,
     predict,
     save_model,

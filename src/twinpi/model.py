@@ -27,6 +27,15 @@ training rows and the kernel, so a :class:`FitWorkspace` computes each once,
 on first use, and reuses it for both sides of a fit and for every candidate
 (c1..c6, eps) fitted on the same rows and kernel width.
 
+The workspace also keeps the LU factors of the last multiplier matrix,
+keyed by (c_reg, c_corr), and of the last recovery matrix G^T G + c I, keyed
+by c (see :class:`~twinpi.linalg.LUFactors`). With tied parameters
+(c4, c5) = (c1, c2) the up-bound side solves the down-bound side's matrix, so
+it neither assembles nor factors it again; both recovery solves share one
+factorization when c4 = c1; and consecutive candidates with equal c1 (the
+grid is in lexicographic order) share the recovery factors. A reused solve
+returns the bits a fresh one would, so every fit is unchanged by the reuse.
+
 Kernel-mode evaluation (``predict``, ``bound_functions``,
 ``correcting_values`` and ``KRRModel.predict``) forms the cross-Gram between
 the inputs and the training rows one block of rows at a time and keeps only
@@ -43,7 +52,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -51,7 +61,7 @@ import numpy as np
 
 from .data import DataError, Dataset, NormStats, PIDataset
 from .kernels import KernelSpec, gram
-from .linalg import NumericalError, solve_checked
+from .linalg import LUFactors, NumericalError, _plus_diagonal, solve_checked
 
 #: A fit is accepted only if all six optimality residuals are at most
 #: KKT_TOL_SCALE * (1 + ||y||_inf).
@@ -92,12 +102,35 @@ class FitWorkspace:
     """Augmented design matrices shared by the two training problems.
 
     The products below depend only on the designs, not on c1..c6 or eps;
-    each is computed on first access and then kept for the workspace's life.
+    each is computed on first access and then kept until :meth:`release`.
+    :meth:`factors` keeps one factored system per kind.
     """
 
     G: np.ndarray
     G_star: np.ndarray
     ones: np.ndarray
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def factors(self, kind: str, key: object, assemble: Callable[[], np.ndarray]) -> LUFactors:
+        """The kept ``kind`` system built from the scalars ``key``.
+
+        On a miss the kept entry of that kind is dropped first, then
+        ``assemble()`` builds the matrix; its factors are made by its first
+        solve. So at most one entry per kind is alive.
+        """
+        entry = self._factors.get(kind)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        self._factors.pop(kind, None)
+        system = LUFactors(assemble())
+        self._factors[kind] = (key, system)
+        return system
+
+    def release(self, *names: str) -> None:
+        """Drop the named products or factor entries; a later read builds them again."""
+        for name in names:
+            self.__dict__.pop(name, None)
+            self._factors.pop(name, None)
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -212,19 +245,26 @@ def build_workspace(data: PIDataset, hp: Hyperparams) -> FitWorkspace:
     return FitWorkspace(G=g, G_star=g_star, ones=ones)
 
 
-def _multiplier_system(
-    ws: FitWorkspace, y: np.ndarray, c_reg: float, c_corr: float, c_drift: float, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    e = ws.ones
+def _multiplier_matrix(ws: FitWorkspace, c_reg: float, c_corr: float) -> np.ndarray:
     # Built in place; the sum is S + (c_reg/c_corr) H + (1/c_corr) SH bit for
     # bit, since floating-point addition is commutative.
     a = ws.H * (c_reg / c_corr)
     a += ws.S
     a += ws.SH * (1.0 / c_corr)
-    rhs = c_reg * y + c_reg * eps * e - (c_reg * c_drift / c_corr) * ws.He + eps * ws.Se - (
+    return a
+
+
+def _solve_multiplier(
+    ws: FitWorkspace, y: np.ndarray, c_reg: float, c_corr: float, c_drift: float, eps: float,
+    context: str,
+) -> np.ndarray:
+    system = ws.factors(
+        "multiplier", (c_reg, c_corr), lambda: _multiplier_matrix(ws, c_reg, c_corr)
+    )
+    rhs = c_reg * y + c_reg * eps * ws.ones - (c_reg * c_drift / c_corr) * ws.He + eps * ws.Se - (
         c_drift / c_corr
     ) * ws.SHe
-    return a, rhs
+    return solve_checked(system.matrix, rhs, context=context, factors=system)
 
 
 def _check_targets(ws: FitWorkspace, y: np.ndarray) -> np.ndarray:
@@ -237,15 +277,13 @@ def _check_targets(ws: FitWorkspace, y: np.ndarray) -> np.ndarray:
 def solve_alpha(ws: FitWorkspace, y: np.ndarray, hp: Hyperparams) -> np.ndarray:
     """Down-bound multiplier from the eliminated m x m system (c1, c2, c3, eps1)."""
     y = _check_targets(ws, y)
-    a, rhs = _multiplier_system(ws, y, hp.c1, hp.c2, hp.c3, hp.eps1)
-    return solve_checked(a, rhs, context="down-bound multiplier system")
+    return _solve_multiplier(ws, y, hp.c1, hp.c2, hp.c3, hp.eps1, "down-bound multiplier system")
 
 
 def solve_beta(ws: FitWorkspace, y: np.ndarray, hp: Hyperparams) -> np.ndarray:
     """Up-bound multiplier: same system with (c4, c5, c6, eps2) and y negated."""
     y = _check_targets(ws, y)
-    a, rhs = _multiplier_system(ws, -y, hp.c4, hp.c5, hp.c6, hp.eps2)
-    return solve_checked(a, rhs, context="up-bound multiplier system")
+    return _solve_multiplier(ws, -y, hp.c4, hp.c5, hp.c6, hp.eps2, "up-bound multiplier system")
 
 
 def _norm_inf(v: np.ndarray) -> float:
@@ -283,11 +321,10 @@ def _up_residuals(
 _RESIDUAL_KINDS = ("stationarity", "correcting", "feasibility")
 
 
-def _plus_diagonal(a: np.ndarray, c: float) -> np.ndarray:
-    """``a + c * I`` bit for bit (off the diagonal ``a + 0.0``), without the identity."""
-    out = a + 0.0
-    out.flat[:: a.shape[0] + 1] += c
-    return out
+def _recover(ws: FitWorkspace, c: float, rhs: np.ndarray, context: str) -> np.ndarray:
+    """Solve (G^T G + c I) v = rhs on the workspace's kept recovery factors."""
+    system = ws.factors("recovery", c, lambda: _plus_diagonal(ws.GtG, c))
+    return solve_checked(system.matrix, rhs, context=context, factors=system)
 
 
 def _gate(side: str, residuals: tuple[float, float, float], tol: float) -> None:
@@ -328,26 +365,37 @@ def fit(
     normalized by the caller, and the stats ride along for prediction time.
 
     ``ws`` lets candidates that share training rows and kernel reuse one
-    workspace and its products; it must be ``build_workspace(data, hp)`` for
-    this ``data`` and ``hp.kernel``. Without it the workspace is built here.
+    workspace, its products and its kept factors; it must be
+    ``build_workspace(data, hp)`` for this ``data`` and ``hp.kernel``. Without
+    it the workspace is built here, and S, H and S H are dropped as soon as no
+    multiplier matrix is left to assemble.
     """
-    if ws is None:
+    own_ws = ws is None
+    if own_ws:
         ws = build_workspace(data, hp)
     y = _check_targets(ws, data.targets)
     tol = KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(y))))
 
+    # A workspace built here drops each product and factor entry once no
+    # remaining solve of this fit reads it, so keeping factors does not raise
+    # the fit's peak memory. With (c4, c5) = (c1, c2) the up side solves
+    # alpha's matrix again, else it assembles its own from S, H and S H; with
+    # c4 = c1 it reuses the down side's recovery factors, else it builds its
+    # own matrix from G^T G.
     alpha = solve_alpha(ws, y, hp)
-    gtg = ws.GtG
-    v1 = solve_checked(
-        _plus_diagonal(gtg, hp.c1), ws.G.T @ (y + alpha), context="down-bound recovery"
-    )
+    if own_ws:
+        tied = (hp.c4, hp.c5) == (hp.c1, hp.c2)
+        ws.release(*(("S", "H", "SH") if tied else ("multiplier",)))
+    v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
+    if own_ws:
+        ws.release("GtG" if hp.c4 == hp.c1 else "recovery")
     v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
     _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
 
     beta = solve_beta(ws, y, hp)
-    v2 = solve_checked(
-        _plus_diagonal(gtg, hp.c4), ws.G.T @ (y - beta), context="up-bound recovery"
-    )
+    if own_ws:
+        ws.release("S", "H", "SH", "multiplier")
+    v2 = _recover(ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
     v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
     _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
 
@@ -482,16 +530,28 @@ class KRRModel:
         return _design_products(x, self.train_features, self.kernel, self.coef)[0]
 
 
+def krr_gram(data: Dataset, kernel: KernelSpec) -> np.ndarray:
+    """The training Gram K of the kernel ridge comparator."""
+    return gram(data.features, data.features, kernel)
+
+
 def fit_krr_comparator(
     data: Dataset,
     ridge: float,
     kernel: KernelSpec,
     norm: NormStats | None = None,
+    k: np.ndarray | None = None,
 ) -> KRRModel:
-    """Kernel ridge regression baseline on the same (regular) features."""
+    """Kernel ridge regression baseline on the same (regular) features.
+
+    ``k`` lets ridge candidates on the same rows and kernel share one Gram;
+    it must be ``krr_gram(data, kernel)``, which is built here without it.
+    The system matrix ``K + ridge I`` is a copy, so ``k`` is left unchanged.
+    """
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
-    k = gram(data.features, data.features, kernel)
+    if k is None:
+        k = krr_gram(data, kernel)
     coef = solve_checked(
         _plus_diagonal(k, ridge), np.asarray(data.targets, dtype=float),
         context="kernel ridge system",

@@ -8,7 +8,14 @@ subsample over that order keeps desk-scale runs tractable.
 
 Cross-validation runs fold by fold and, within a fold, kernel width by
 kernel width: every candidate sharing a (fold, width) pair is fitted on one
-workspace, so the Gram matrices and their products are built once per pair.
+workspace, so the Gram matrices and their products are built once per pair,
+and the kernel ridge comparator's Gram likewise. Consecutive candidates on
+one workspace also share the LU factors of equal systems (see
+:mod:`twinpi.model`).
+
+A candidate is eligible only if it fitted on every fold: its score is then
+the mean over all k folds, the usual k-fold estimate, rather than a mean
+over whichever folds happened to fit.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .data import Dataset, PIDataset
 from .kernels import KernelSpec
 from .linalg import NumericalError
 from .metrics import evaluate
-from .model import Hyperparams, build_workspace, fit, fit_krr_comparator, predict
+from .model import Hyperparams, build_workspace, fit, fit_krr_comparator, krr_gram, predict
 
 
 class TuningError(RuntimeError):
@@ -75,7 +82,8 @@ class CandidateResult:
     """One grid candidate with its cross-validated score.
 
     ``fold_rmses`` holds one entry per fold (None where the fit failed);
-    ``mean_rmse`` is None when the candidate failed to fit on every fold.
+    ``mean_rmse`` is the mean over the folds that fitted, None when none did.
+    Only a candidate with ``failed_folds == 0`` can be selected.
     """
 
     hp: Hyperparams
@@ -197,7 +205,9 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
 
     Within each fold the model is fitted on the remaining folds (privileged
     features included) and scored on the held-out fold through regular
-    features only. Ties break toward the earliest candidate in grid order.
+    features only. The best candidate is the one with the lowest mean RMSE
+    among those that fitted on every fold; ties break toward the earliest
+    candidate in grid order.
     """
     candidates = _grid_candidates(spec)
     splits = _fold_splits(data.n_samples, spec)
@@ -229,14 +239,15 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
         mean_rmse = float(np.mean(scored)) if scored else None
         failed = len(rmses) - len(scored)
         table.append(CandidateResult(hp, exponents, mean_rmse, failed, tuple(rmses)))
-        if mean_rmse is not None and mean_rmse < best_rmse:
+        if failed == 0 and mean_rmse < best_rmse:
             best_rmse = mean_rmse
             best_index = pos
 
     if best_index < 0:
         failures = sum(r.failed_folds for r in table)
         raise TuningError(
-            f"all {len(table)} candidates failed to fit ({failures} failed folds total)"
+            f"none of the {len(table)} candidates fitted on every fold "
+            f"({failures} failed folds total)"
         )
     return TuneResult(
         best=table[best_index].hp,
@@ -262,29 +273,42 @@ def tune_krr(data: Dataset, spec: GridSpec) -> tuple[float, KernelSpec]:
     """Cross-validate the kernel ridge comparator over (ridge, width) exponents.
 
     Uses the same exponent ranges, folds and seed as the twin-model search so
-    both models see identical validation splits.
+    both models see identical validation splits. The Gram is built once per
+    (fold, width) and shared by that width's ridge candidates; as in
+    :func:`cross_validate`, only a candidate that fitted on every fold can be
+    selected.
     """
     splits = _fold_splits(data.n_samples, spec)
+    candidates = [
+        (2.0 ** exponents[0], _candidate_kernel(spec, exponents[1:]) or KernelSpec("linear"))
+        for exponents in _grid_points(_grid_axes(spec, 1), spec.max_candidates)
+    ]
+    by_kernel: dict[KernelSpec, list[int]] = {}
+    for pos, (_, kernel) in enumerate(candidates):
+        by_kernel.setdefault(kernel, []).append(pos)
+
+    errors: list[list[float]] = [[] for _ in candidates]
+    for train_idx, val_idx in splits:
+        train = Dataset(data.features[train_idx], data.targets[train_idx])
+        x_val, y_val = data.features[val_idx], data.targets[val_idx]
+        for kernel, positions in by_kernel.items():
+            k = krr_gram(train, kernel)
+            for pos in positions:
+                try:
+                    model = fit_krr_comparator(train, candidates[pos][0], kernel, k=k)
+                except NumericalError:
+                    continue
+                errors[pos].append(evaluate(y_val, model.predict(x_val)).rmse)
+            del k
+
     best: tuple[float, KernelSpec] | None = None
     best_rmse = math.inf
-    for exponents in _grid_points(_grid_axes(spec, 1), spec.max_candidates):
-        ridge = 2.0 ** exponents[0]
-        kernel = _candidate_kernel(spec, exponents[1:]) or KernelSpec("linear")
-        errors = []
-        for train_idx, val_idx in splits:
-            try:
-                model = fit_krr_comparator(
-                    Dataset(data.features[train_idx], data.targets[train_idx]), ridge, kernel
-                )
-            except NumericalError:
-                continue
-            y_hat = model.predict(data.features[val_idx])
-            errors.append(evaluate(data.targets[val_idx], y_hat).rmse)
-        if errors:
-            mean_rmse = float(np.mean(errors))
+    for candidate, rmses in zip(candidates, errors):
+        if len(rmses) == len(splits):
+            mean_rmse = float(np.mean(rmses))
             if mean_rmse < best_rmse:
                 best_rmse = mean_rmse
-                best = (ridge, kernel)
+                best = candidate
     if best is None:
-        raise TuningError("all kernel ridge candidates failed to fit")
+        raise TuningError("no kernel ridge candidate fitted on every fold")
     return best

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from support import single_blas_thread
 from twinpi.cli import main, read_config, write_config
 from twinpi.data import load_csv
 from twinpi.metrics import evaluate
@@ -322,7 +323,7 @@ def _write_series(path, n=400, seed=0):
     path.write_text("price\n" + "\n".join(repr(float(v)) for v in values) + "\n")
 
 
-def test_benchmark_lag_embedded_series_with_head_split(tmp_path):
+def _check_lag_benchmark(tmp_path):
     series = tmp_path / "stock.csv"
     _write_series(series)
     out = tmp_path / "bench"
@@ -336,6 +337,17 @@ def test_benchmark_lag_embedded_series_with_head_split(tmp_path):
     cells = line.split(",")
     assert cells[0] == "stock" and cells[1] == "ok"
     assert np.isfinite(float(cells[2]))
+
+
+def test_benchmark_lag_embedded_series_with_head_split(tmp_path):
+    _check_lag_benchmark(tmp_path)
+
+
+def test_benchmark_lag_embedded_series_on_one_blas_thread(tmp_path):
+    # On one thread a candidate fits 1 of its 3 folds with the lowest RMSE of
+    # any; tuning must not pick it, or its full-data refit is rejected.
+    with single_blas_thread():
+        _check_lag_benchmark(tmp_path)
 
 
 def test_fit_and_eval_lag_embedded_series(tmp_path):

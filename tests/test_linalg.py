@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from twinpi.linalg import NumericalError, solve_checked
+from support import single_blas_thread
+from twinpi import linalg
+from twinpi.linalg import LUFactors, NumericalError, solve_checked
 
 
 def test_residual_contract_on_well_conditioned_systems():
@@ -23,12 +25,13 @@ def test_consistent_singular_system_is_resolved_by_jitter():
     assert np.max(np.abs(a @ x - b)) <= 1e-6 * (1 + np.max(np.abs(b)))
 
 
-def test_inconsistent_singular_system_fails_with_condition_estimate():
+def test_inconsistent_singular_system_fails_with_residual_and_jitter():
     a = np.zeros((3, 3))
     a[0, 0] = 1.0
     b = np.array([1.0, 1.0, 1.0])  # unreachable: rows 2..3 are zero
-    with pytest.raises(NumericalError, match="cond"):
-        solve_checked(a, b)
+    message = r"^probe: residual 1\.000e\+00 exceeds tolerance 2\.000e-06 after jitter 3\.333e-11$"
+    with pytest.raises(NumericalError, match=message):
+        solve_checked(a, b, context="probe")
 
 
 def test_shape_validation():
@@ -36,9 +39,123 @@ def test_shape_validation():
         solve_checked(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError, match="rhs"):
         solve_checked(np.eye(3), np.ones(4))
+    with pytest.raises(ValueError, match="another matrix"):
+        solve_checked(np.eye(3), np.ones(3), factors=LUFactors(np.eye(3)))
 
 
 def test_exact_solution_of_integer_system():
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     x = solve_checked(a, np.array([3.0, 4.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
+
+
+# ------------------------------------------------------------ kept factors
+
+
+def _reuse_matches_numpy(sizes, seed):
+    rng = np.random.default_rng(seed)
+    for m in sizes:
+        a = rng.normal(size=(m, m))
+        factors = LUFactors(a)
+        for k in range(3):  # dgesv on the first right-hand side, dgetrs after
+            b = rng.normal(size=m)
+            assert np.array_equal(factors.solve(b), np.linalg.solve(a, b)), (m, k)
+
+
+# 100..134 is where a standalone dgetrf rounds differently from dgesv's own.
+_BITWISE_SIZES = [20, *range(100, 135), 240, 241, 1201]
+
+
+def test_reused_factors_equal_numpy_solve_bitwise_on_one_thread():
+    with single_blas_thread():
+        _reuse_matches_numpy(_BITWISE_SIZES, seed=5)
+
+
+def test_reused_factors_equal_numpy_solve_bitwise_at_default_threads():
+    _reuse_matches_numpy(_BITWISE_SIZES, seed=6)
+
+
+def test_later_right_hand_sides_do_not_factor_again(monkeypatch):
+    if linalg._lapack() is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found; every solve falls back")
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(30, 30))
+    factors = LUFactors(a)
+    factors.solve(rng.normal(size=30))
+
+    def refuse(*args):
+        raise AssertionError("the kept factors were not used")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    gesv, getrs = linalg._lapack()
+    monkeypatch.setattr(linalg, "_lapack", lambda: (refuse, getrs))
+    solve_checked(a, rng.normal(size=30), factors=factors)
+
+
+def test_fallback_without_lapack_solves_with_numpy(monkeypatch):
+    monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(12, 12)), rng.normal(size=12)
+    assert np.array_equal(solve_checked(a, b, factors=LUFactors(a)), np.linalg.solve(a, b))
+
+
+def test_kept_factors_give_uncached_bits_on_the_jitter_path():
+    # Exactly singular but consistent: dgesv meets a zero pivot, the jittered
+    # retry solves it.
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, np.ones(3))
+    factors = LUFactors(a)
+    for b in ([3.0, 4.0, 0.0], [1.0, -2.0, 0.0], [0.5, 0.25, 0.0]):
+        b = np.array(b)
+        cached = solve_checked(a, b, factors=factors)
+        assert np.array_equal(cached, solve_checked(a, b))
+        assert np.max(np.abs(a @ cached - b)) <= 1e-9
+    assert factors.jittered is not None
+
+
+def test_kept_factors_give_uncached_results_when_only_some_rhs_fail_first():
+    # 1e10 / 1e-300 overflows, 1e-10 / 1e-300 does not: the second rhs alone
+    # takes the jitter retry (and fails it); the others are solved at once.
+    a = np.diag([1e-300, 1.0])
+    factors = LUFactors(a)
+    outcomes = []
+    for b in ([1e-10, 1.0], [1e10, 1.0], [0.5, 2.0]):
+        b = np.array(b)
+        try:
+            plain = solve_checked(a, b)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as cached:
+                solve_checked(a, b, factors=factors)
+            assert str(cached.value) == str(exc)
+            outcomes.append("failed")
+            continue
+        assert np.array_equal(solve_checked(a, b, factors=factors), plain)
+        outcomes.append("solved")
+    assert outcomes == ["solved", "failed", "solved"]
+    assert factors.jittered is not None
+
+
+def test_singular_matrix_raises_the_same_error_for_every_rhs():
+    a = np.zeros((3, 3))
+    a[0, 0] = 1.0
+    factors = LUFactors(a)
+    for b in ([1.0, 1.0, 1.0], [0.0, 2.0, 5.0], [3.0, 0.0, 1.0]):
+        b = np.array(b)
+        with pytest.raises(NumericalError) as plain:
+            solve_checked(a, b, context="probe")
+        with pytest.raises(NumericalError) as cached:
+            solve_checked(a, b, context="probe", factors=factors)
+        assert str(cached.value) == str(plain.value)
+
+
+def test_nan_matrix_fails_the_same_way_with_kept_factors():
+    a = np.eye(4)
+    a[1, 2] = np.nan
+    factors = LUFactors(a)
+    for b in (np.ones(4), np.arange(4.0)):
+        with pytest.raises(NumericalError, match="non-finite") as plain:
+            solve_checked(a, b)
+        with pytest.raises(NumericalError) as cached:
+            solve_checked(a, b, factors=factors)
+        assert str(cached.value) == str(plain.value)

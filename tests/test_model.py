@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from twinpi.data import (
     split_privileged,
 )
 from twinpi.kernels import KernelSpec, gram
-from twinpi.linalg import NumericalError, solve_checked
+from twinpi.linalg import NumericalError, _plus_diagonal, solve_checked
 import twinpi.model
 from twinpi.model import (
     KKT_TOL_SCALE,
@@ -32,13 +33,14 @@ from twinpi.model import (
     fit,
     fit_krr_comparator,
     kkt_residuals,
+    krr_gram,
     load_model,
     predict,
     save_model,
     solve_alpha,
     solve_beta,
 )
-from twinpi.model import _multiplier_system, _plus_diagonal, _row_blocks
+from twinpi.model import _multiplier_matrix, _row_blocks
 from twinpi.oracle import solve_stacked_kkt
 
 # Small reference instance with collinear privileged data: the constraint
@@ -114,9 +116,28 @@ def test_systems_assembled_in_place_equal_their_expressions_bitwise(kernel):
     ws = build_workspace(data, Hyperparams(kernel=kernel))
     eye = np.eye(ws.GtG.shape[0])
     for c_reg, c_corr in [(1.0, 1.0), (0.3, 7.0), (2.0**-5, 2.0**4), (5.0, 1.0 / 3.0)]:
-        a, _ = _multiplier_system(ws, data.targets, c_reg, c_corr, 0.5, 0.01)
+        a = _multiplier_matrix(ws, c_reg, c_corr)
         assert np.array_equal(a, ws.S + (c_reg / c_corr) * ws.H + (1.0 / c_corr) * ws.SH)
         assert np.array_equal(_plus_diagonal(ws.GtG, c_reg), ws.GtG + c_reg * eye)
+
+
+def _sharing_candidates(hp):
+    """Untied candidates, then tied ones whose kept factors hit and miss in turn."""
+    for scale in (1.0, 0.5, 2.0, 4.0):
+        yield Hyperparams(
+            c1=hp.c1 * scale, c2=hp.c2, c3=hp.c3 / scale,
+            c4=hp.c4, c5=hp.c5 * scale, c6=hp.c6,
+            eps1=hp.eps1, eps2=hp.eps2 * scale, kernel=hp.kernel,
+        )
+    tied = Hyperparams(
+        c1=hp.c1, c2=hp.c2, c3=hp.c3, c4=hp.c1, c5=hp.c2, c6=hp.c3,
+        eps1=hp.eps1, eps2=hp.eps2, kernel=hp.kernel,
+    )
+    yield tied
+    yield replace(tied, c3=tied.c3 * 2, c6=tied.c6 * 2)  # both hit
+    yield replace(tied, c2=tied.c2 * 2, c5=tied.c5 * 2)  # recovery hits
+    yield replace(tied, c4=tied.c4 * 2)  # the up side misses both
+    yield tied
 
 
 def test_fits_sharing_one_workspace_equal_plain_fits_bitwise():
@@ -124,12 +145,7 @@ def test_fits_sharing_one_workspace_equal_plain_fits_bitwise():
     data, hp = draw_well_posed(rng, "rbf")
     ws = build_workspace(data, hp)
     fitted = 0
-    for scale in (1.0, 0.5, 2.0, 4.0):
-        candidate = Hyperparams(
-            c1=hp.c1 * scale, c2=hp.c2, c3=hp.c3 / scale,
-            c4=hp.c4, c5=hp.c5 * scale, c6=hp.c6,
-            eps1=hp.eps1, eps2=hp.eps2 * scale, kernel=hp.kernel,
-        )
+    for candidate in _sharing_candidates(hp):
         try:
             plain = fit(data, candidate)
         except NumericalError:
@@ -142,7 +158,71 @@ def test_fits_sharing_one_workspace_equal_plain_fits_bitwise():
             assert np.array_equal(getattr(shared, name), getattr(plain, name)), name
         assert np.array_equal(shared.duals.alpha, plain.duals.alpha)
         assert np.array_equal(shared.duals.beta, plain.duals.beta)
-    assert fitted >= 2
+    assert fitted >= 6
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(twinpi.model, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(twinpi.model, name, counted)
+    return calls
+
+
+def test_kept_factors_follow_the_scalars_of_each_system(monkeypatch):
+    rng = np.random.default_rng(22)
+    data, _ = draw_well_posed(rng, "rbf")
+    assemblies = _counting(monkeypatch, "_multiplier_matrix")
+    recoveries = _counting(monkeypatch, "_plus_diagonal")
+    ws_kernel = KernelSpec("rbf", mu=0.7)
+    ws = build_workspace(data, Hyperparams(kernel=ws_kernel))
+    tied = Hyperparams(c1=0.5, c2=2.0, c3=1.0, c4=0.5, c5=2.0, c6=1.0, kernel=ws_kernel)
+    untied = replace(tied, c4=0.25)
+    steps = [
+        (tied, [(0.5, 2.0)], [(0.5,)]),  # the up side reuses both factorizations
+        (replace(tied, c3=3.0, c6=3.0), [], []),
+        (untied, [(0.25, 2.0)], [(0.25,)]),  # c4 != c1: the up side takes no down-side entry
+        (replace(untied, c5=1.0), [(0.5, 2.0), (0.25, 1.0)],
+         [(0.5,), (0.25,)]),
+    ]
+    for hp, want_assembled, want_recovered in steps:
+        del assemblies[:], recoveries[:]
+        shared = fit(data, hp, ws=ws)
+        assert assemblies == want_assembled and recoveries == want_recovered, hp
+        del assemblies[:], recoveries[:]
+        plain = fit(data, hp)
+        for name in ("v1", "v2", "v1_star", "v2_star"):
+            assert np.array_equal(getattr(shared, name), getattr(plain, name)), name
+        assert np.array_equal(shared.duals.beta, plain.duals.beta)
+    assert sorted(ws._factors) == ["multiplier", "recovery"]  # one entry per kind
+
+
+@pytest.mark.parametrize("c4", [1.0, 2.0])
+def test_fit_local_workspace_drops_the_products_it_no_longer_needs(monkeypatch, c4):
+    built = []
+    original = twinpi.model.build_workspace
+
+    def keep(data, hp):
+        built.append(original(data, hp))
+        return built[-1]
+
+    monkeypatch.setattr(twinpi.model, "build_workspace", keep)
+    rng = np.random.default_rng(23)
+    data, _ = draw_well_posed(rng, "rbf")
+    hp = Hyperparams(c4=c4, kernel=KernelSpec("rbf", mu=0.7))
+    fitted = fit(data, hp)
+    (ws,) = built
+    kept = set(ws.__dict__)
+    assert not kept & {"S", "H", "SH"}
+    assert ("GtG" in kept) == (c4 != hp.c1)  # read by the up side's own recovery matrix
+    assert {"Se", "He", "SHe"} <= kept
+    assert list(ws._factors) == ["recovery"]
+    plain = fit(data, hp, ws=original(data, hp))
+    assert np.array_equal(fitted.v1, plain.v1) and np.array_equal(fitted.v2, plain.v2)
 
 
 # ------------------------------------------------------- multiplier solves
@@ -579,6 +659,18 @@ def test_krr_linear_kernel_recovers_slope():
     model = fit_krr_comparator(Dataset(x, y), ridge=1e-8, kernel=KernelSpec("linear"))
     slope = float(x[:, 0] @ model.coef)  # effective weight of the linear expansion
     assert slope == pytest.approx(2.0, abs=1e-3)
+
+
+def test_krr_shared_gram_gives_the_same_model_bitwise():
+    rng = np.random.default_rng(24)
+    data = Dataset(rng.uniform(size=(50, 3)), rng.uniform(size=50))
+    kernel = KernelSpec("rbf", mu=0.5)
+    k = krr_gram(data, kernel)
+    before = k.copy()
+    for ridge in (2.0**-6, 1.0, 2.0**5):
+        shared = fit_krr_comparator(data, ridge, kernel, k=k)
+        assert np.array_equal(shared.coef, fit_krr_comparator(data, ridge, kernel).coef)
+    assert np.array_equal(k, before)
 
 
 def test_krr_validation():

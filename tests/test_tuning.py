@@ -5,7 +5,7 @@ from twinpi.data import Dataset, NoiseSpec, PIDataset, gen_synthetic, min_max_no
 import twinpi.tuning as tuning
 from twinpi.linalg import NumericalError
 from twinpi.metrics import evaluate
-from twinpi.model import fit, predict
+from twinpi.model import fit, fit_krr_comparator, predict
 from twinpi.tuning import (
     GridSpec,
     TuningError,
@@ -127,7 +127,7 @@ def test_best_candidate_attains_minimum_mean_rmse():
     spec = GridSpec(c_lo=-2, c_hi=2, mu_lo=-3, mu_hi=0, kernel="rbf",
                     folds=3, seed=2, max_candidates=12)
     result = cross_validate(pi, spec)
-    scored = [r.mean_rmse for r in result.table if r.mean_rmse is not None]
+    scored = [r.mean_rmse for r in result.table if r.failed_folds == 0]
     assert result.table[result.best_index].mean_rmse == min(scored)
 
 
@@ -201,7 +201,7 @@ def test_cross_validation_matches_per_candidate_fits():
         scored = [r for r in rmses if r is not None]
         means.append(float(np.mean(scored)) if scored else None)
     assert [r.mean_rmse for r in result.table] == means
-    best = min((m, i) for i, m in enumerate(means) if m is not None)[1]
+    best = min((m, i) for i, m in enumerate(means) if None not in naive[i])[1]
     assert result.best_index == best
 
 
@@ -219,6 +219,49 @@ def test_cross_validation_builds_one_workspace_per_fold_and_width(monkeypatch):
     assert len(widths) > 1 and len(result.table) > len(widths)
     assert len(calls) == WIDTH_GRID.folds * len(widths)
     assert set(calls) == widths
+
+
+def test_candidate_that_failed_a_fold_is_never_selected(monkeypatch):
+    pi = small_pi_dataset(seed=13, m=36)
+    clean = cross_validate(pi, WIDTH_GRID)
+    winner = clean.table[clean.best_index].hp
+    original = tuning.fit
+
+    def fail_winner_once(train, hp, ws=None):
+        # The winner's last fold fails; its other folds keep their low RMSE.
+        calls.append(hp)
+        if hp == winner and calls.count(hp) == WIDTH_GRID.folds:
+            raise NumericalError("forced failure")
+        return original(train, hp, ws=ws)
+
+    calls = []
+    monkeypatch.setattr(tuning, "fit", fail_winner_once)
+    result = cross_validate(pi, WIDTH_GRID)
+    row = result.table[clean.best_index]
+    assert row.failed_folds == 1
+    assert row.mean_rmse < min(  # still the lowest mean over the folds it fitted ...
+        r.mean_rmse for r in result.table if r.failed_folds == 0
+    )
+    assert result.best_index != clean.best_index  # ... but not eligible
+    full = [(r.mean_rmse, i) for i, r in enumerate(result.table) if r.failed_folds == 0]
+    assert result.best_index == min(full)[1]
+
+
+def test_no_candidate_fitting_every_fold_raises(monkeypatch):
+    pi = small_pi_dataset(seed=13, m=36)
+    original = tuning.fit
+    seen = set()
+
+    def fail_first_fold(train, hp, ws=None):
+        # Every candidate fails its first fold and fits the others.
+        if hp not in seen:
+            seen.add(hp)
+            raise NumericalError("forced failure")
+        return original(train, hp, ws=ws)
+
+    monkeypatch.setattr(tuning, "fit", fail_first_fold)
+    with pytest.raises(TuningError, match="fitted on every fold"):
+        cross_validate(pi, WIDTH_GRID)
 
 
 def test_all_candidates_failing_raises_with_log():
@@ -240,6 +283,77 @@ def test_export_tune_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "exp1,exp2,exp3,exp4,mean_rmse,failed_folds"
     assert len(lines) == 1 + len(result.table)
+
+
+KRR_GRID = GridSpec(c_lo=-4, c_hi=4, mu_lo=-3, mu_hi=0, kernel="rbf",
+                    folds=3, seed=13, max_candidates=16)
+
+
+def _krr_data():
+    train, _ = gen_synthetic("f2", 40, 10, NoiseSpec("gaussian_005", seed=12), seed=12)
+    normalized, _ = min_max_normalize(train)
+    return Dataset(normalized.features[:, :3], normalized.targets)
+
+
+def _naive_krr_rmses(data, spec):
+    """Validation RMSE per fold of each (ridge, width) candidate, fitted afresh."""
+    rmses = {}
+    for exponents in tuning._grid_points(tuning._grid_axes(spec, 1), spec.max_candidates):
+        ridge, kernel = 2.0 ** exponents[0], tuning._candidate_kernel(spec, exponents[1:])
+        rmses[(ridge, kernel)] = []
+        for val_idx in kfold_indices(data.n_samples, spec.folds, spec.seed):
+            mask = np.ones(data.n_samples, dtype=bool)
+            mask[val_idx] = False
+            model = fit_krr_comparator(
+                Dataset(data.features[mask], data.targets[mask]), ridge, kernel
+            )
+            y_hat = model.predict(data.features[val_idx])
+            rmses[(ridge, kernel)].append(evaluate(data.targets[val_idx], y_hat).rmse)
+    return rmses
+
+
+def test_tune_krr_builds_one_gram_per_fold_and_width(monkeypatch):
+    grams, fits = [], []
+    original_gram, original_fit = tuning.krr_gram, tuning.fit_krr_comparator
+
+    def counting_gram(data, kernel):
+        grams.append(kernel)
+        return original_gram(data, kernel)
+
+    def counting_fit(data, ridge, kernel, norm=None, k=None):
+        fits.append((ridge, kernel))
+        return original_fit(data, ridge, kernel, norm=norm, k=k)
+
+    monkeypatch.setattr(tuning, "krr_gram", counting_gram)
+    monkeypatch.setattr(tuning, "fit_krr_comparator", counting_fit)
+    data = _krr_data()
+    choice = tune_krr(data, KRR_GRID)
+    candidates = set(fits)
+    widths = {kernel for _, kernel in candidates}
+    assert len(widths) > 1 and len(candidates) > len(widths)
+    assert len(fits) == KRR_GRID.folds * len(candidates)
+    assert len(grams) == KRR_GRID.folds * len(widths)
+    means = {c: float(np.mean(r)) for c, r in _naive_krr_rmses(data, KRR_GRID).items()}
+    assert choice == min(means, key=lambda c: (means[c], list(means).index(c)))
+
+
+def test_tune_krr_skips_a_candidate_that_failed_a_fold(monkeypatch):
+    data = _krr_data()
+    winner = tune_krr(data, KRR_GRID)
+    # Failing the winner's worst fold lowers its mean over the folds it fitted.
+    rmses = _naive_krr_rmses(data, KRR_GRID)[winner]
+    worst = rmses.index(max(rmses))
+    original = tuning.fit_krr_comparator
+    calls = []
+
+    def fail_worst_fold(train, ridge, kernel, norm=None, k=None):
+        calls.append((ridge, kernel))
+        if (ridge, kernel) == winner and calls.count(winner) == worst + 1:
+            raise NumericalError("forced failure")
+        return original(train, ridge, kernel, norm=norm, k=k)
+
+    monkeypatch.setattr(tuning, "fit_krr_comparator", fail_worst_fold)
+    assert tune_krr(data, KRR_GRID) != winner
 
 
 def test_tune_krr_returns_fittable_choice():
