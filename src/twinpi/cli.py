@@ -3,7 +3,8 @@ rank statistics and generalization bounds.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure. Every command accepts ``--config FILE`` holding
-``key = value`` lines mirroring its flags; explicit flags win.
+``key = value`` lines mirroring its flags, each parsed by its flag (a
+repeatable flag takes a comma-separated list); explicit flags win.
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` config file (``#`` starts a comment line)."""
+    """Parse a flat ``key = value`` config file (``#`` starts a comment line).
+
+    Each key may appear once; a repeatable flag takes a comma-separated list.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -75,8 +79,10 @@ def read_config(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"{path}: line {i} is not a 'key = value' pair: {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise UsageError(f"{path}: line {i} repeats key {key!r}")
+        out[key] = value
     return out
 
 
@@ -497,30 +503,53 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     return parser, subs
 
 
-def _apply_config(parser: _Parser, subs, argv: list[str], args):
-    sub = subs.choices[args.command]
+def _config_tokens(action: argparse.Action, key: str, value: str) -> list[str]:
+    """The command-line tokens that say what ``key = value`` says."""
+    flag = action.option_strings[-1]
+    if isinstance(action, argparse._StoreTrueAction):
+        lowered = value.lower()
+        if lowered in ("1", "true", "yes", "on"):
+            return [flag]
+        if lowered in ("0", "false", "no", "off"):
+            return []
+        raise UsageError(f"config key {key!r} must be boolean, got {value!r}")
+    if isinstance(action, argparse._AppendAction):
+        return [f"{flag}={item.strip()}" for item in value.split(",")]
+    return [f"{flag}={value}"]
+
+
+def _given_dests(argv: list[str]) -> set[str]:
+    """Destinations of the flags ``argv`` sets explicitly."""
+    parser, subs = build_parser()
+    for sub in subs.choices.values():
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config(sub: _Parser, argv: list[str], args) -> None:
+    """Fill ``args`` from its config file wherever no flag was given.
+
+    Each ``key = value`` line is parsed by the command's own flag, so types,
+    choices and booleans are checked as on the command line; a repeatable
+    flag takes a comma-separated list. An explicit flag replaces the config
+    value, also for a repeatable flag.
+    """
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     config = read_config(args.config)
-    actions = {a.dest: a for a in sub._actions}
-    bool_dests = {
-        dest for dest, action in actions.items()
-        if isinstance(action, argparse._StoreTrueAction)
-    }
-    converted: dict[str, object] = {}
+    tokens: list[str] = []
     for key, value in config.items():
-        if key not in actions or key in ("help", "config", "func", "command"):
+        if key not in actions:
             raise UsageError(f"unknown config key {key!r} for command {args.command!r}")
-        if key in bool_dests:
-            lowered = value.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                converted[key] = True
-            elif lowered in ("0", "false", "no", "off"):
-                converted[key] = False
-            else:
-                raise UsageError(f"config key {key!r} must be boolean, got {value!r}")
-        else:
-            converted[key] = value
-    sub.set_defaults(**converted)
-    return parser.parse_args(argv)
+        tokens += _config_tokens(actions[key], key, value)
+    try:
+        configured = sub.parse_args(tokens)
+    except UsageError as exc:
+        raise UsageError(f"config {args.config}: {exc}") from None
+    given = _given_dests(argv)
+    for key in config:
+        if key not in given:
+            setattr(args, key, getattr(configured, key))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -529,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            args = _apply_config(parser, subs, argv, args)
+            _apply_config(subs.choices[args.command], argv, args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -222,10 +222,6 @@ class TrainedModel:
     norm: NormStats | None = None
 
     @property
-    def is_kernel(self) -> bool:
-        return self.hp.kernel is not None
-
-    @property
     def n_regular_features(self) -> int:
         return self.train_regular.shape[1]
 

@@ -1,9 +1,10 @@
 """Rank-based comparison of regression models over a collection of datasets.
 
 Implements the Friedman chi-square statistic, its F-distributed refinement,
-and the Nemenyi critical difference for pairwise post-hoc comparison. No
-distribution quantiles are computed here; the caller supplies the critical
-value to compare against.
+and the Nemenyi critical difference for pairwise post-hoc comparison
+(Demšar, JMLR 2006). Ranking needs numpy only. No distribution quantiles
+are computed here; the caller supplies the critical value to compare
+against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import DataError
 
@@ -89,6 +89,21 @@ class StatsReport:
     dataset_names: tuple[str, ...] | None = None
 
 
+def _average_ranks(row: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks; each run of equal values gets its mean position.
+
+    Equal to ``scipy.stats.rankdata(row, method="average")`` bit for bit on
+    finite input: every rank is an integer or a half-integer, computed exactly.
+    """
+    order = np.argsort(row, kind="stable")
+    ordered = row[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, row.size))
+    ranks = np.empty(row.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
 def rank_rows(table: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
     """Rank models within each dataset row; best model gets rank 1.
 
@@ -96,7 +111,7 @@ def rank_rows(table: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
     to l (l + 1) / 2.
     """
     scores = table.scores if table.direction == "lower_better" else -table.scores
-    ranks = np.vstack([rankdata(row, method="average") for row in scores])
+    ranks = np.vstack([_average_ranks(row) for row in scores])
     return ranks, ranks.mean(axis=0)
 
 

@@ -87,6 +87,25 @@ def test_fit_numerical_failure_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("rows, code", [(5, 0), (6, 0), (7, 3), (8, 3), (12, 3), (60, 3)])
+def test_linear_fit_needs_rows_within_the_feature_span(tmp_path, capsys, rows, code):
+    # f2 has 3 regular and 2 privileged columns: [G, G*] has rank at most
+    # 3 + 2 + 1 = 6, and the equality constraint needs rank m.
+    data_dir = tmp_path / "data"
+    assert run(["synth", "--fn", "f2", "--seed", 0, "--n-train", rows, "--out", data_dir]) == 0
+    capsys.readouterr()
+    assert run(["fit", "--data", data_dir / "train.csv", "--kernel", "linear",
+                "--out", tmp_path / "o"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("numerical error: down-bound multiplier system: residual")
+        assert not (tmp_path / "o" / "model.json").exists()
+    else:
+        assert err == ""
+        assert read_config(tmp_path / "o" / "kkt_report.txt")["within_tolerance"] == "True"
+
+
 # -------------------------------------------------------------------- eval
 
 
@@ -302,6 +321,14 @@ def test_config_unknown_key_is_usage_error(tmp_path):
     assert run(["synth", "--config", cfg]) == 1
 
 
+def test_repeated_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(f"synthetic = f1\nsynthetic = f2\nout = {tmp_path / 'o'}\n")
+    assert run(["benchmark", "--config", cfg]) == 1
+    assert "line 2 repeats key 'synthetic'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_errors_exit_1():
     assert run(["synth", "--fn", "f9"]) == 1
     assert run(["frobnicate"]) == 1
@@ -387,5 +414,69 @@ def test_boolean_config_key(tmp_path):
         cfg,
     )
     assert run(["benchmark", "--config", cfg]) == 0
-    header = (tmp_path / "o" / "benchmark.csv").read_text().splitlines()[0]
+    header, *rows = (tmp_path / "o" / "benchmark.csv").read_text().splitlines()
     assert "krr_rmse" in header
+    assert len(rows) == 1 and rows[0].startswith("f3,ok,")
+
+
+def _small_benchmark_config(path, **extra):
+    values = {"repeats": "1", "n_train": "40", "n_test": "20", "max_candidates": "4",
+              "grid_lo": "-6", "grid_hi": "-2", "folds": "3", **extra}
+    write_config(values, path)
+    return path
+
+
+def _benchmark_rows(out):
+    return [line.split(",")[:2] for line in (out / "benchmark.csv").read_text().splitlines()[1:]]
+
+
+def test_repeatable_config_key_names_whole_datasets(tmp_path):
+    cfg = _small_benchmark_config(tmp_path / "bench.cfg", synthetic="f2",
+                                  out=str(tmp_path / "one"))
+    assert run(["benchmark", "--config", cfg]) == 0
+    assert _benchmark_rows(tmp_path / "one") == [["f2", "ok"]]
+
+    cfg = _small_benchmark_config(tmp_path / "list.cfg", synthetic="f2, f1",
+                                  out=str(tmp_path / "two"))
+    assert run(["benchmark", "--config", cfg]) == 0
+    assert _benchmark_rows(tmp_path / "two") == [["f2", "ok"], ["f1", "ok"]]
+
+
+def test_repeatable_flag_replaces_the_config_list(tmp_path):
+    cfg = _small_benchmark_config(tmp_path / "bench.cfg", synthetic="f2",
+                                  out=str(tmp_path / "o"))
+    assert run(["benchmark", "--config", cfg, "--synthetic", "f1"]) == 0
+    assert _benchmark_rows(tmp_path / "o") == [["f1", "ok"]]
+
+
+@pytest.mark.parametrize("line", ["kernel = poly", "mu = wide", "lags = 1.5", "c1 ="])
+def test_invalid_config_value_is_usage_error(tmp_path, line, capsys):
+    data = tmp_path / "train.csv"
+    data.write_text("x1,x2,y\n0,0,0\n1,2,1\n2,3,2\n")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"{line}\nout = {tmp_path / 'o'}\n")
+    assert run(["fit", "--data", data, "--config", cfg]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "model.json").exists()
+
+
+def test_non_boolean_switch_in_config_is_usage_error(tmp_path, capsys):
+    cfg = _small_benchmark_config(tmp_path / "bench.cfg", synthetic="f2", with_krr="maybe",
+                                  out=str(tmp_path / "o"))
+    assert run(["benchmark", "--config", cfg]) == 1
+    assert "must be boolean" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_values_are_converted_like_flags(tmp_path):
+    data = tmp_path / "tiny.csv"
+    data.write_text("x1,x2,y\n0,0,0\n1,2,1\n2,3,2\n")
+    cfg = tmp_path / "fit.cfg"
+    write_config({"kernel": "linear", "c1": "2", "eps": "0.5e-1",
+                  "out": str(tmp_path / "config")}, cfg)
+    assert run(["fit", "--data", data, "--config", cfg]) == 0
+    assert run(["fit", "--data", data, "--kernel", "linear", "--c1", 2, "--eps", "0.5e-1",
+                "--out", tmp_path / "flags"]) == 0
+    from_config = (tmp_path / "config" / "model.json").read_bytes()
+    assert from_config == (tmp_path / "flags" / "model.json").read_bytes()
+    assert json.loads(from_config)["hyperparams"]["kernel"] is None

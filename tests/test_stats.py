@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +60,41 @@ def test_rank_rows_sum_to_constant():
     table = ScoreTable(rng.normal(size=(9, 5)))
     ranks, _ = rank_rows(table)
     np.testing.assert_allclose(ranks.sum(axis=1), np.full(9, 15.0), atol=1e-9)
+
+
+@pytest.mark.parametrize("direction", ["lower_better", "higher_better"])
+def test_ranks_equal_scipy_rankdata_bitwise(direction):
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(7)
+    # Few distinct values force ties, including -0.0 against 0.0; the normal
+    # draws and the extremes cover untied rows and the ends of the float range.
+    pool = np.array([0.0, -0.0, 0.5, -0.5, 1.0, 3.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324])
+    for trial in range(400):
+        n, l = int(rng.integers(2, 6)), int(rng.integers(2, 13))
+        if trial % 2:
+            scores = rng.choice(pool, size=(n, l))
+        else:
+            scores = np.round(rng.normal(size=(n, l)), int(rng.integers(0, 4)))
+        ranks, avg = rank_rows(ScoreTable(scores, direction))
+        oriented = scores if direction == "lower_better" else -scores
+        expected = np.vstack([rankdata(row, method="average") for row in oriented])
+        assert ranks.dtype == expected.dtype
+        assert ranks.tobytes() == expected.tobytes()
+        assert avg.tobytes() == expected.mean(axis=0).tobytes()
+
+
+def test_import_loads_no_scipy():
+    probe = (
+        "import sys, twinpi\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_benchmark_fixture_average_ranks():

@@ -3,6 +3,7 @@ import pytest
 
 from twinpi.data import Dataset, NoiseSpec, PIDataset, gen_synthetic, min_max_normalize, split_privileged
 import twinpi.tuning as tuning
+from twinpi.kernels import KernelSpec
 from twinpi.linalg import NumericalError
 from twinpi.metrics import evaluate
 from twinpi.model import fit, fit_krr_comparator, predict
@@ -299,7 +300,8 @@ def _naive_krr_rmses(data, spec):
     """Validation RMSE per fold of each (ridge, width) candidate, fitted afresh."""
     rmses = {}
     for exponents in tuning._grid_points(tuning._grid_axes(spec, 1), spec.max_candidates):
-        ridge, kernel = 2.0 ** exponents[0], tuning._candidate_kernel(spec, exponents[1:])
+        ridge = 2.0 ** exponents[0]
+        kernel = tuning._candidate_kernel(spec, exponents[1:]) or KernelSpec("linear")
         rmses[(ridge, kernel)] = []
         for val_idx in kfold_indices(data.n_samples, spec.folds, spec.seed):
             mask = np.ones(data.n_samples, dtype=bool)
@@ -354,6 +356,39 @@ def test_tune_krr_skips_a_candidate_that_failed_a_fold(monkeypatch):
 
     monkeypatch.setattr(tuning, "fit_krr_comparator", fail_worst_fold)
     assert tune_krr(data, KRR_GRID) != winner
+
+
+def test_tune_krr_on_a_linear_grid_searches_the_ridge_only(monkeypatch):
+    spec = GridSpec(c_lo=-4, c_hi=4, kernel=None, folds=3, seed=13)
+    data = _krr_data()
+    means = {c: float(np.mean(r)) for c, r in _naive_krr_rmses(data, spec).items()}
+    assert list(means) == [(2.0**e, KernelSpec("linear")) for e in range(-4, 5)]
+    grams, fits = [], []
+    original_gram, original_fit = tuning.krr_gram, tuning.fit_krr_comparator
+
+    def counting_gram(train, kernel):
+        grams.append(kernel)
+        return original_gram(train, kernel)
+
+    def failing_fit(train, ridge, kernel, norm=None, k=None):
+        fits.append((ridge, kernel))
+        if (ridge, kernel) in failing and fits.count((ridge, kernel)) == spec.folds:
+            raise NumericalError("forced failure")
+        return original_fit(train, ridge, kernel, norm=norm, k=k)
+
+    monkeypatch.setattr(tuning, "krr_gram", counting_gram)
+    monkeypatch.setattr(tuning, "fit_krr_comparator", failing_fit)
+    failing = set()
+    choice = tune_krr(data, spec)
+    assert grams == [KernelSpec("linear")] * spec.folds
+    assert fits == [c for _ in range(spec.folds) for c in means]
+    assert choice == min(means, key=means.get)
+
+    # The best candidate fails its last fold: the runner-up is selected.
+    failing = {choice}
+    fits.clear()
+    rest = {c: v for c, v in means.items() if c != choice}
+    assert tune_krr(data, spec) == min(rest, key=rest.get)
 
 
 def test_tune_krr_returns_fittable_choice():
