@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -224,12 +225,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _benchmark_one_repeat(args, spec_kind: str, spec_value: str, seed_r: int):
-    """One tune->fit->eval pass; returns (twin metrics, krr metrics or None, timings).
+def _benchmark_one_repeat(args, grid: GridSpec, spec_kind: str, spec_value: str, seed_r: int):
+    """One tune->fit->eval pass of ``grid`` at seed ``seed_r``.
 
-    The timings map each phase to its seconds: the twin model's tune, fit and
-    predict; data prep (generate or load, split, normalize, privileged split);
-    and, with ``--with-krr``, krr (tune, fit and predict of the comparator).
+    Returns (twin metrics, krr metrics or None, timings). The timings map
+    each phase to its seconds: the twin model's tune, fit and predict; data
+    prep (generate or load, split, normalize, privileged split); and, with
+    ``--with-krr``, krr (tune, fit and predict of the comparator).
     """
     start = time.perf_counter()
     if spec_kind == "synthetic":
@@ -248,12 +250,7 @@ def _benchmark_one_repeat(args, spec_kind: str, spec_value: str, seed_r: int):
     train_n, stats = min_max_normalize(train_raw)
     pi = split_privileged(train_n)
     data_time = time.perf_counter() - start
-    grid = GridSpec(
-        c_lo=args.grid_lo, c_hi=args.grid_hi, mu_lo=args.grid_lo, mu_hi=args.grid_hi,
-        eps=args.eps, folds=args.folds, seed=seed_r,
-        kernel=None if args.kernel == "linear" else "rbf",
-        pin_mu=args.pin_mu, max_candidates=args.max_candidates,
-    )
+    grid = replace(grid, seed=seed_r)
     start = time.perf_counter()
     tuned = cross_validate(pi, grid)
     tune_time = time.perf_counter() - start
@@ -291,6 +288,14 @@ def cmd_benchmark(args) -> int:
         raise UsageError("no datasets given: use --synthetic and/or --data")
     if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
+    try:
+        grid = GridSpec(
+            c_lo=args.grid_lo, c_hi=args.grid_hi, mu_lo=args.grid_lo, mu_hi=args.grid_hi,
+            eps=args.eps, folds=args.folds, kernel=None if args.kernel == "linear" else "rbf",
+            pin_mu=args.pin_mu, max_candidates=args.max_candidates,
+        )
+    except ValueError as exc:
+        raise UsageError(f"grid flags: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -307,7 +312,7 @@ def cmd_benchmark(args) -> int:
             twin_all, krr_all, timings = [], [], []
             for repeat in range(args.repeats):
                 seed_r = args.seed + 7919 * index + 101 * repeat
-                twin_met, krr_met, times = _benchmark_one_repeat(args, kind, value, seed_r)
+                twin_met, krr_met, times = _benchmark_one_repeat(args, grid, kind, value, seed_r)
                 twin_all.append(twin_met)
                 if krr_met is not None:
                     krr_all.append(krr_met)

@@ -43,7 +43,9 @@ def kernel_eval(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> float:
     return float(np.exp(-d2 / (2.0 * spec.mu**2)))
 
 
-def gram(rows_a: np.ndarray, rows_b: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def gram(
+    rows_a: np.ndarray, rows_b: np.ndarray, spec: KernelSpec, out: np.ndarray | None = None
+) -> np.ndarray:
     """Pairwise kernel matrix with entry (i, j) = K(rows_a[i], rows_b[j]).
 
     The output is allocated once and filled one block of ``rows_a`` at a
@@ -54,17 +56,28 @@ def gram(rows_a: np.ndarray, rows_b: np.ndarray, spec: KernelSpec) -> np.ndarray
     diagonal. An rbf block is then scaled by ``-1 / (2 mu^2)`` and
     exponentiated in place.
 
-    Memory: the n_a x n_b float64 output plus one temporary of at most
-    ``_BLOCK_ENTRIES`` entries (or one row of n_b), whatever the feature
-    count d; no n_a x n_b x d array is formed.
+    ``out``, an n_a x n_b float64 array, receives the result instead of a
+    new one. It may be a strided view, such as the first m columns of a
+    design G = [Phi | 1]. Every step is elementwise, and elementwise
+    operations round each entry the same whatever the layout, so the values
+    are bitwise those of a fresh output.
+
+    Memory: the n_a x n_b float64 output (none with ``out``) plus one
+    temporary of at most ``_BLOCK_ENTRIES`` entries (or one row of n_b),
+    whatever the feature count d; no n_a x n_b x d array is formed.
     """
     a = np.atleast_2d(np.asarray(rows_a, dtype=float))
     b = np.atleast_2d(np.asarray(rows_b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"gram column counts differ: {a.shape[1]} vs {b.shape[1]}")
     n_a, n_b = a.shape[0], b.shape[0]
+    if out is None:
+        out = np.empty((n_a, n_b))
+    elif out.shape != (n_a, n_b) or out.dtype != np.float64:
+        raise ValueError(
+            f"gram output must be float64 of shape {(n_a, n_b)}, got {out.dtype} {out.shape}"
+        )
     b_cols = np.ascontiguousarray(b.T)
-    out = np.empty((n_a, n_b))
     step = max(1, _BLOCK_ENTRIES // max(n_b, 1))
     scratch = np.empty((min(step, n_a), n_b))
     for start in range(0, n_a, step):

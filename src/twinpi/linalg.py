@@ -17,6 +17,13 @@ the LU factors and pivots; later right-hand sides are solved from them with
 Guide), so a reused solve returns the same bits as a fresh
 ``np.linalg.solve``. Where that library is not found, every solve falls
 back to ``np.linalg.solve``.
+
+The factors overwrite a Fortran-ordered copy of the matrix. An
+:class:`LUFactors` built to replace one that is no longer used takes over
+that copy's array (``recycle=``), so a workspace that factors one new
+system after another allocates no new n x n array for it. ``np.copyto``
+writes the same values ``np.array(matrix, order="F")`` would, so the
+factors are unchanged.
 """
 
 from __future__ import annotations
@@ -67,13 +74,21 @@ class LUFactors:
     bit, and raises ``np.linalg.LinAlgError`` where it raises (an exactly
     zero pivot); only the first call factors the matrix. ``jittered`` holds
     the factors of :func:`solve_checked`'s jittered retry once one ran.
+
+    ``recycle``, a system of the same size that will not be solved again,
+    hands over the array its factors were written into; this system's
+    factors overwrite it.
     """
 
-    def __init__(self, matrix: np.ndarray) -> None:
+    def __init__(self, matrix: np.ndarray, recycle: LUFactors | None = None) -> None:
         self.matrix = np.asarray(matrix, dtype=float)
         self.jittered: LUFactors | None = None
         # (LU in Fortran order, pivots) after the first solve; False if it hit a zero pivot.
         self._lu: tuple[np.ndarray, np.ndarray] | bool | None = None
+        # The Fortran-ordered array the first solve copies the matrix into and factors.
+        self._store: np.ndarray | None = None
+        if recycle is not None and getattr(recycle._store, "shape", None) == self.matrix.shape:
+            self._store, recycle._store, recycle._lu = recycle._store, None, None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         lapack = _lapack()
@@ -86,7 +101,10 @@ class LUFactors:
         lda, one, info = ctypes.c_int64(max(1, n.value)), ctypes.c_int64(1), ctypes.c_int64(0)
         x = np.array(b, dtype=float)
         if self._lu is None:
-            lu = np.array(self.matrix, order="F")
+            if self._store is None:
+                self._store = np.empty(self.matrix.shape, order="F")
+            lu = self._store
+            np.copyto(lu, self.matrix)
             piv = np.empty(n.value, dtype=np.int64)
             gesv(n, one, lu.ctypes.data, lda, piv.ctypes.data, x.ctypes.data, lda, info)
             self._lu = (lu, piv) if info.value == 0 else False
@@ -100,9 +118,12 @@ class LUFactors:
         return x
 
 
-def _plus_diagonal(a: np.ndarray, c: float) -> np.ndarray:
-    """``a + c * I`` bit for bit (off the diagonal ``a + 0.0``), without the identity."""
-    out = a + 0.0
+def _plus_diagonal(a: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``a + c * I`` bit for bit (off the diagonal ``a + 0.0``), without the identity.
+
+    ``out``, an array of ``a``'s shape, receives the result instead of a new one.
+    """
+    out = np.add(a, 0.0, out=out)
     out.flat[:: a.shape[0] + 1] += c
     return out
 

@@ -36,6 +36,18 @@ factorization when c4 = c1; and consecutive candidates with equal c1 (the
 grid is in lexicographic order) share the recovery factors. A reused solve
 returns the bits a fresh one would, so every fit is unchanged by the reuse.
 
+The arrays themselves outlive a workspace. ``build_workspace`` writes the
+Gram matrices straight into G and G*, and ``build_workspace(..., reuse=old)``
+(which cross-validation calls for each new kernel width, and each new fold
+of the same row count) refills ``old``'s G and G* in place and writes S, H,
+S H and G^T G into ``old``'s arrays with ``np.matmul(..., out=)``. A
+factor-cache miss assembles the new matrix in the dropped system's array and
+factors it in that system's LU array. Each entry comes from the same
+floating-point operations as in a new array (elementwise operations round
+the same in any layout, and a product into ``out=`` makes the same BLAS
+call), so the reuse changes memory traffic, never a bit. A warm fold fit
+allocates no m x m array but the KKT gate's own temporaries.
+
 Kernel-mode evaluation (``predict``, ``bound_functions``,
 ``correcting_values`` and ``KRRModel.predict``) forms the cross-Gram between
 the inputs and the training rows one block of rows at a time and keeps only
@@ -60,7 +72,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, Dataset, NormStats, PIDataset
-from .kernels import KernelSpec, gram
+from .kernels import _BLOCK_ENTRIES, KernelSpec, gram
 from .linalg import LUFactors, NumericalError, _plus_diagonal, solve_checked
 
 #: A fit is accepted only if all six optimality residuals are at most
@@ -97,6 +109,10 @@ class Hyperparams:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
+#: The workspace products, each a cached property.
+_PRODUCTS = ("S", "H", "SH", "Se", "He", "SHe", "GtG")
+
+
 @dataclass(frozen=True)
 class FitWorkspace:
     """Augmented design matrices shared by the two training problems.
@@ -104,25 +120,35 @@ class FitWorkspace:
     The products below depend only on the designs, not on c1..c6 or eps;
     each is computed on first access and then kept until :meth:`release`.
     :meth:`factors` keeps one factored system per kind.
+
+    A workspace built with ``build_workspace(..., reuse=old)`` holds ``old``'s
+    arrays as spare storage: each matrix product, and each kind's first
+    system, is written into the spare array of its name.
     """
 
     G: np.ndarray
     G_star: np.ndarray
     ones: np.ndarray
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spare: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def factors(self, kind: str, key: object, assemble: Callable[[], np.ndarray]) -> LUFactors:
+    def factors(
+        self, kind: str, key: object, assemble: Callable[[np.ndarray | None], np.ndarray]
+    ) -> LUFactors:
         """The kept ``kind`` system built from the scalars ``key``.
 
-        On a miss the kept entry of that kind is dropped first, then
-        ``assemble()`` builds the matrix; its factors are made by its first
-        solve. So at most one entry per kind is alive.
+        On a miss the kept entry of that kind is dropped, and
+        ``assemble(out)`` builds the new matrix into ``out``: the dropped
+        system's matrix, or a spare one of that kind, or None (a new array).
+        The new system's factors overwrite the dropped system's LU array. So
+        at most one entry per kind is alive, and a miss allocates no matrix
+        once the workspace has held a system of that kind.
         """
         entry = self._factors.get(kind)
         if entry is not None and entry[0] == key:
             return entry[1]
-        self._factors.pop(kind, None)
-        system = LUFactors(assemble())
+        old = self._factors.pop(kind)[1] if entry is not None else self._spare.pop(kind, None)
+        system = LUFactors(assemble(None if old is None else old.matrix), recycle=old)
         self._factors[kind] = (key, system)
         return system
 
@@ -131,18 +157,31 @@ class FitWorkspace:
         for name in names:
             self.__dict__.pop(name, None)
             self._factors.pop(name, None)
+            self._spare.pop(name, None)
+
+    def _recycle(self) -> dict[str, object]:
+        """Empty this workspace; return its matrices and factored systems by name."""
+        spare = dict(self._spare, G=self.G, G_star=self.G_star)
+        for name in _PRODUCTS:
+            product = self.__dict__.pop(name, None)
+            if product is not None and product.ndim == 2:
+                spare[name] = product
+        spare.update((kind, system) for kind, (_, system) in self._factors.items())
+        self._factors.clear()
+        self._spare.clear()
+        return spare
 
     @cached_property
     def S(self) -> np.ndarray:
-        return self.G @ self.G.T
+        return np.matmul(self.G, self.G.T, out=self._spare.pop("S", None))
 
     @cached_property
     def H(self) -> np.ndarray:
-        return self.G_star @ self.G_star.T
+        return np.matmul(self.G_star, self.G_star.T, out=self._spare.pop("H", None))
 
     @cached_property
     def SH(self) -> np.ndarray:
-        return self.S @ self.H
+        return np.matmul(self.S, self.H, out=self._spare.pop("SH", None))
 
     @cached_property
     def Se(self) -> np.ndarray:
@@ -158,7 +197,7 @@ class FitWorkspace:
 
     @cached_property
     def GtG(self) -> np.ndarray:
-        return self.G.T @ self.G
+        return np.matmul(self.G.T, self.G, out=self._spare.pop("GtG", None))
 
 
 @dataclass(frozen=True)
@@ -226,27 +265,64 @@ class TrainedModel:
         return self.train_regular.shape[1]
 
 
-def build_workspace(data: PIDataset, hp: Hyperparams) -> FitWorkspace:
-    """Assemble G = [Phi | 1] and G* = [Phi* | 1] for the chosen variant."""
-    m = data.n_samples
-    ones = np.ones(m)
-    if hp.kernel is None:
-        phi = data.regular
-        phi_star = data.privileged
+def _design(rows: np.ndarray, kernel: KernelSpec | None, out: np.ndarray) -> np.ndarray:
+    """Write [Phi | 1] into ``out``: Phi is ``rows`` (linear) or their self-Gram."""
+    width = out.shape[1] - 1
+    if kernel is None:
+        out[:, :width] = rows
     else:
-        phi = gram(data.regular, data.regular, hp.kernel)
-        phi_star = gram(data.privileged, data.privileged, hp.kernel)
-    g = np.column_stack([phi, ones])
-    g_star = np.column_stack([phi_star, ones])
-    return FitWorkspace(G=g, G_star=g_star, ones=ones)
+        gram(rows, rows, kernel, out=out[:, :width])
+    out[:, width] = 1.0
+    return out
 
 
-def _multiplier_matrix(ws: FitWorkspace, c_reg: float, c_corr: float) -> np.ndarray:
-    # Built in place; the sum is S + (c_reg/c_corr) H + (1/c_corr) SH bit for
-    # bit, since floating-point addition is commutative.
-    a = ws.H * (c_reg / c_corr)
+def build_workspace(
+    data: PIDataset, hp: Hyperparams, reuse: FitWorkspace | None = None
+) -> FitWorkspace:
+    """Assemble G = [Phi | 1] and G* = [Phi* | 1] for the chosen variant.
+
+    Phi and Phi* are written straight into G and G*. ``reuse``, a workspace
+    that will not be used again, gives up its arrays: when its G and G* have
+    the shapes this one needs, they are refilled in place, and its matrix
+    products and factored systems become the spare storage this workspace
+    writes its own into. Every entry comes from the same floating-point
+    operations as in new arrays, so fits on either workspace are bitwise
+    equal.
+    """
+    m = data.n_samples
+    shapes = [
+        (m, (m if hp.kernel is not None else rows.shape[1]) + 1)
+        for rows in (data.regular, data.privileged)
+    ]
+    spare = {} if reuse is None else reuse._recycle()
+    if not spare or [spare["G"].shape, spare["G_star"].shape] != shapes:
+        spare = {"G": np.empty(shapes[0]), "G_star": np.empty(shapes[1])}
+    g = _design(data.regular, hp.kernel, spare.pop("G"))
+    g_star = _design(data.privileged, hp.kernel, spare.pop("G_star"))
+    ws = FitWorkspace(G=g, G_star=g_star, ones=np.ones(m))
+    ws._spare.update(spare)
+    return ws
+
+
+def _add_scaled(a: np.ndarray, b: np.ndarray, scale: float) -> None:
+    """``a += b * scale`` bit for bit, one row block at a time (no temporary of a's size)."""
+    step = max(1, _BLOCK_ENTRIES // max(a.shape[1], 1))
+    scratch = np.empty((min(step, a.shape[0]), a.shape[1]))
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
+        term = scratch[: a[rows].shape[0]]
+        np.multiply(b[rows], scale, out=term)
+        a[rows] += term
+
+
+def _multiplier_matrix(
+    ws: FitWorkspace, c_reg: float, c_corr: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    # Built in place, into ``out`` when given; the sum is S + (c_reg/c_corr) H
+    # + (1/c_corr) SH bit for bit, since floating-point addition is commutative.
+    a = np.multiply(ws.H, c_reg / c_corr, out=out)
     a += ws.S
-    a += ws.SH * (1.0 / c_corr)
+    _add_scaled(a, ws.SH, 1.0 / c_corr)
     return a
 
 
@@ -255,7 +331,7 @@ def _solve_multiplier(
     context: str,
 ) -> np.ndarray:
     system = ws.factors(
-        "multiplier", (c_reg, c_corr), lambda: _multiplier_matrix(ws, c_reg, c_corr)
+        "multiplier", (c_reg, c_corr), lambda out: _multiplier_matrix(ws, c_reg, c_corr, out=out)
     )
     rhs = c_reg * y + c_reg * eps * ws.ones - (c_reg * c_drift / c_corr) * ws.He + eps * ws.Se - (
         c_drift / c_corr
@@ -319,7 +395,7 @@ _RESIDUAL_KINDS = ("stationarity", "correcting", "feasibility")
 
 def _recover(ws: FitWorkspace, c: float, rhs: np.ndarray, context: str) -> np.ndarray:
     """Solve (G^T G + c I) v = rhs on the workspace's kept recovery factors."""
-    system = ws.factors("recovery", c, lambda: _plus_diagonal(ws.GtG, c))
+    system = ws.factors("recovery", c, lambda out: _plus_diagonal(ws.GtG, c, out=out))
     return solve_checked(system.matrix, rhs, context=context, factors=system)
 
 
@@ -333,6 +409,22 @@ def _gate(side: str, residuals: tuple[float, float, float], tol: float) -> None:
             f"{residuals[worst]:.3e} exceeds {tol:.3e}; the multiplier system is too "
             f"ill-conditioned for these hyperparameters"
         )
+
+
+def _linear_row_limit(data: PIDataset, hp: Hyperparams) -> str | None:
+    """Why a linear-variant fit on ``data`` must fail, or None if it need not.
+
+    G = [X | 1] and G* = [X* | 1] share their constant column, so [G, G*]
+    spans at most d_regular + d_privileged + 1 dimensions, and the equality
+    constraint needs it to span R^m.
+    """
+    span = data.regular.shape[1] + data.privileged.shape[1] + 1
+    if hp.kernel is not None or data.n_samples <= span:
+        return None
+    return (
+        f"the {data.n_samples} training rows exceed rank[G, G*] <= "
+        f"d_regular + d_privileged + 1 = {span}"
+    )
 
 
 def fit(
@@ -355,16 +447,19 @@ def fit(
     is checked one side at a time, down side first: a down-side rejection
     raises before the up-side multiplier solve and recovery run, so a rejected
     fit costs about half an accepted one. The message names the side and the
-    residual (stationarity, correcting or feasibility) that failed.
+    residual (stationarity, correcting or feasibility) that failed. A failed
+    linear-variant fit with more training rows than d_regular + d_privileged
+    + 1 also says that the rows exceed the rank of [G, G*].
 
     ``norm`` is not applied here; training data is expected to be already
     normalized by the caller, and the stats ride along for prediction time.
 
     ``ws`` lets candidates that share training rows and kernel reuse one
     workspace, its products and its kept factors; it must be
-    ``build_workspace(data, hp)`` for this ``data`` and ``hp.kernel``. Without
-    it the workspace is built here, and S, H and S H are dropped as soon as no
-    multiplier matrix is left to assemble.
+    ``build_workspace(data, hp)``, with or without ``reuse=``, for this
+    ``data`` and ``hp.kernel``. Without it the workspace is built here, and
+    S, H and S H are dropped as soon as no multiplier matrix is left to
+    assemble.
     """
     own_ws = ws is None
     if own_ws:
@@ -378,22 +473,28 @@ def fit(
     # alpha's matrix again, else it assembles its own from S, H and S H; with
     # c4 = c1 it reuses the down side's recovery factors, else it builds its
     # own matrix from G^T G.
-    alpha = solve_alpha(ws, y, hp)
-    if own_ws:
-        tied = (hp.c4, hp.c5) == (hp.c1, hp.c2)
-        ws.release(*(("S", "H", "SH") if tied else ("multiplier",)))
-    v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
-    if own_ws:
-        ws.release("GtG" if hp.c4 == hp.c1 else "recovery")
-    v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
-    _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
+    try:
+        alpha = solve_alpha(ws, y, hp)
+        if own_ws:
+            tied = (hp.c4, hp.c5) == (hp.c1, hp.c2)
+            ws.release(*(("S", "H", "SH") if tied else ("multiplier",)))
+        v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
+        if own_ws:
+            ws.release("GtG" if hp.c4 == hp.c1 else "recovery")
+        v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
+        _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
 
-    beta = solve_beta(ws, y, hp)
-    if own_ws:
-        ws.release("S", "H", "SH", "multiplier")
-    v2 = _recover(ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
-    v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
-    _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
+        beta = solve_beta(ws, y, hp)
+        if own_ws:
+            ws.release("S", "H", "SH", "multiplier")
+        v2 = _recover(ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
+        v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
+        _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
+    except NumericalError as exc:
+        limit = _linear_row_limit(data, hp)
+        if limit is None:
+            raise
+        raise NumericalError(f"{exc}; {limit}") from exc
 
     return TrainedModel(
         v1=v1,

@@ -11,7 +11,12 @@ kernel width: every candidate sharing a (fold, width) pair is fitted on one
 workspace, so the Gram matrices and their products are built once per pair,
 and the kernel ridge comparator's Gram likewise. Consecutive candidates on
 one workspace also share the LU factors of equal systems (see
-:mod:`twinpi.model`).
+:mod:`twinpi.model`). Each new workspace is built in the previous one's
+arrays (G, G*, S, H, S H, G^T G and the kept multiplier and recovery
+matrices with their LU arrays) whenever the row count is the same, so
+moving on to the next width or fold allocates no m x m array. The values
+come from the same floating-point operations as in new arrays, so every
+fold RMSE is bitwise unchanged.
 
 A candidate is eligible only if it fitted on every fold: its score is then
 the mean over all k folds, the usual k-fold estimate, rather than a mean
@@ -71,6 +76,10 @@ class GridSpec:
             raise ValueError(f"kernel must be None, 'linear' or 'rbf', got {self.kernel!r}")
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError("max_candidates must be positive when given")
+        if self.pin_mu is not None and not (self.pin_mu > 0 and math.isfinite(self.pin_mu)):
+            raise ValueError(f"pin_mu must be positive and finite, got {self.pin_mu}")
+        if not (self.eps >= 0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be finite and non-negative, got {self.eps}")
 
     @property
     def has_mu_axis(self) -> bool:
@@ -216,20 +225,22 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
         by_kernel.setdefault(hp.kernel, []).append(pos)
 
     fold_rmses: list[list[float | None]] = [[None] * len(splits) for _ in candidates]
+    ws = None
     for k, (train_idx, val_idx) in enumerate(splits):
         train = data.subset(train_idx)
         x_val, y_val = data.regular[val_idx], data.targets[val_idx]
         for positions in by_kernel.values():
-            # One workspace at a time; its products are computed by the first
-            # fit that needs them and reused by the rest of the group.
-            ws = build_workspace(train, candidates[positions[0]][0])
+            # One workspace at a time, refilled in the arrays of the one
+            # before; its products are computed by the first fit that needs
+            # them and reused by the rest of the group.
+            ws = build_workspace(train, candidates[positions[0]][0], reuse=ws)
             for pos in positions:
                 try:
                     model = fit(train, candidates[pos][0], ws=ws)
                 except NumericalError:
                     continue
                 fold_rmses[pos][k] = evaluate(y_val, predict(model, x_val)).rmse
-            del ws
+    del ws
 
     table: list[CandidateResult] = []
     best_index = -1

@@ -97,3 +97,12 @@ def single_blas_thread():
         yield
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
+
+
+#: BLAS thread settings a bitwise test runs at: one thread, and the default.
+BLAS_THREADS = ("one", "default")
+
+
+def at_blas_threads(which):
+    """:func:`single_blas_thread` for "one"; the library's own count for "default"."""
+    return single_blas_thread() if which == "one" else contextlib.nullcontext()

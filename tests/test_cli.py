@@ -100,6 +100,10 @@ def test_linear_fit_needs_rows_within_the_feature_span(tmp_path, capsys, rows, c
     assert "Traceback" not in err
     if code:
         assert err.startswith("numerical error: down-bound multiplier system: residual")
+        assert err.endswith(
+            f"; the {rows} training rows exceed rank[G, G*] <= "
+            "d_regular + d_privileged + 1 = 6\n"
+        )
         assert not (tmp_path / "o" / "model.json").exists()
     else:
         assert err == ""
@@ -222,6 +226,24 @@ def test_benchmark_records_failures_and_continues(tmp_path):
 
 def test_benchmark_without_datasets_is_usage_error(tmp_path):
     assert run(["benchmark", "--out", tmp_path]) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--pin-mu", -1], "pin_mu must be positive and finite, got -1.0"),
+    (["--pin-mu", "nan"], "pin_mu must be positive and finite, got nan"),
+    (["--eps", -0.5], "eps must be finite and non-negative, got -0.5"),
+    (["--folds", 1], "folds must be at least 2, got 1"),
+    (["--grid-lo", 3, "--grid-hi", 1], "exponent ranges must satisfy lo <= hi"),
+])
+def test_benchmark_bad_grid_flags_are_usage_errors(tmp_path, capsys, flags, message):
+    out = tmp_path / "bench"
+    code = run(["benchmark", "--synthetic", "f2", "--repeats", 1, "--n-train", 30,
+                "--max-candidates", 2, "--out", out] + flags)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: grid flags: {message}\n"
+    assert "FAILED" not in captured.out + captured.err
+    assert not (out / "benchmark.csv").exists()
 
 
 def test_benchmark_byte_identical_reruns(tmp_path):

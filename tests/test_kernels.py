@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from support import BLAS_THREADS, at_blas_threads
 from twinpi import kernels
 from twinpi.kernels import KernelSpec, gram, kernel_eval
 
@@ -126,6 +127,31 @@ def test_gram_without_feature_columns():
     a, b = np.empty((4, 0)), np.empty((3, 0))
     np.testing.assert_array_equal(gram(a, b, KernelSpec("rbf", mu=0.5)), np.ones((4, 3)))
     np.testing.assert_array_equal(gram(a, b, KernelSpec("linear")), np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+@pytest.mark.parametrize("m", [1, 7, 130, 241])
+def test_gram_into_a_design_view_equals_a_fresh_gram_bitwise(threads, kind, m):
+    rng = np.random.default_rng(m)
+    rows = rng.normal(size=(m, 3))
+    spec = KernelSpec(kind, mu=0.6)
+    with at_blas_threads(threads):
+        g = np.full((m, m + 1), np.nan)
+        got = gram(rows, rows, spec, out=g[:, :m])
+        assert np.shares_memory(got, g)
+        assert np.array_equal(g[:, :m], gram(rows, rows, spec))
+        assert np.isnan(g[:, m]).all()
+        cross = np.empty((2 * m, m))
+        gram(np.vstack([rows, rows * 0.5]), rows, spec, out=cross)
+        assert np.array_equal(cross, gram(np.vstack([rows, rows * 0.5]), rows, spec))
+
+
+def test_gram_rejects_an_output_of_the_wrong_shape_or_type():
+    rows = np.ones((3, 2))
+    for out in (np.empty((3, 4)), np.empty((3, 3), dtype=np.float32)):
+        with pytest.raises(ValueError, match="gram output must be float64 of shape"):
+            gram(rows, rows, KernelSpec("rbf"), out=out)
 
 
 def test_gram_peak_memory_is_about_the_output():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from support import single_blas_thread
+from support import BLAS_THREADS, at_blas_threads, single_blas_thread
 from twinpi import linalg
 from twinpi.linalg import LUFactors, NumericalError, solve_checked
 
@@ -73,6 +73,23 @@ def test_reused_factors_equal_numpy_solve_bitwise_on_one_thread():
 
 def test_reused_factors_equal_numpy_solve_bitwise_at_default_threads():
     _reuse_matches_numpy(_BITWISE_SIZES, seed=6)
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+def test_recycled_lu_array_gives_fresh_factors_bitwise(threads):
+    rng = np.random.default_rng(7)
+    previous = None
+    with at_blas_threads(threads):
+        for m in (20, 20, 130, 130, 241, 240, 240):
+            a = rng.normal(size=(m, m))
+            kept = None if previous is None else previous._store
+            factors = LUFactors(a, recycle=previous)
+            for _ in range(2):
+                b = rng.normal(size=m)
+                assert np.array_equal(factors.solve(b), np.linalg.solve(a, b)), m
+            if linalg._lapack() is not None:
+                assert (factors._store is kept) == (kept is not None and kept.shape == a.shape)
+            previous = factors
 
 
 def test_later_right_hand_sides_do_not_factor_again(monkeypatch):

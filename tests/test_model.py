@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from support import draw_well_posed, rel_err, single_blas_thread
+from support import BLAS_THREADS, at_blas_threads, draw_well_posed, rel_err, single_blas_thread
 
 from twinpi.data import (
     DataError,
@@ -19,6 +19,7 @@ from twinpi.data import (
     split_privileged,
 )
 from twinpi.kernels import KernelSpec, gram
+import twinpi.linalg
 from twinpi.linalg import NumericalError, _plus_diagonal, solve_checked
 import twinpi.model
 from twinpi.model import (
@@ -165,9 +166,9 @@ def _counting(monkeypatch, name):
     calls = []
     original = getattr(twinpi.model, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[1:])
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(twinpi.model, name, counted)
     return calls
@@ -223,6 +224,141 @@ def test_fit_local_workspace_drops_the_products_it_no_longer_needs(monkeypatch, 
     assert list(ws._factors) == ["recovery"]
     plain = fit(data, hp, ws=original(data, hp))
     assert np.array_equal(fitted.v1, plain.v1) and np.array_equal(fitted.v2, plain.v2)
+
+
+# ------------------------------------------------- workspaces moved between widths
+
+
+def _rbf(mu, **cs):
+    return Hyperparams(kernel=KernelSpec("rbf", mu=mu), **cs)
+
+
+def _uniform_data(rng, m, duplicated=0):
+    """Random rows on the unit cube; ``duplicated`` rows repeat rows 1.. exactly.
+
+    Repeated rows make S, H and so every multiplier matrix singular (but its
+    system consistent), so multiplier solves need the jitter retry.
+    """
+    x, x_star, y = rng.uniform(size=(m, 3)), rng.uniform(size=(m, 2)), 0.3 * rng.normal(size=m)
+    for a in (x, x_star, y):
+        a[1 + duplicated:1 + 2 * duplicated] = a[1:1 + duplicated]
+    return PIDataset(x, x_star, y)
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("m", [24, 130, 240])
+def test_products_written_into_kept_arrays_equal_fresh_products_bitwise(threads, m):
+    data = _uniform_data(np.random.default_rng(m), m)
+    with at_blas_threads(threads):
+        ws = build_workspace(data, _rbf(0.5))
+        kept = {name: getattr(ws, name) for name in ("G", "G_star", "S", "H", "SH", "GtG")}
+        moved = build_workspace(data, _rbf(0.125), reuse=ws)
+        fresh = build_workspace(data, _rbf(0.125))
+        for name, array in kept.items():
+            assert getattr(moved, name) is array, name
+            assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
+        assert np.array_equal(moved.S, moved.G @ moved.G.T)
+        assert np.array_equal(moved.H, moved.G_star @ moved.G_star.T)
+        assert np.array_equal(moved.SH, moved.S @ moved.H)
+        assert np.array_equal(moved.GtG, moved.G.T @ moved.G)
+    assert not {"S", "H", "SH", "GtG"} & set(ws.__dict__)  # handed over, not shared
+
+
+def _fit_outcomes(data, candidates, ws):
+    """Each candidate's weights and multipliers, or its error message."""
+    outcomes = []
+    for hp in candidates:
+        try:
+            model = fit(data, hp, ws=ws)
+        except NumericalError as exc:
+            outcomes.append(str(exc))
+            continue
+        outcomes.append([model.v1, model.v2, model.v1_star, model.v2_star,
+                         model.duals.alpha, model.duals.beta])
+    return outcomes
+
+
+def _assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, str):
+            assert g == w
+        else:
+            assert not isinstance(g, str), g
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+def test_workspace_moved_through_widths_fits_like_a_fresh_one_bitwise(threads, monkeypatch):
+    rng = np.random.default_rng(31)
+    plain, repeated = _uniform_data(rng, 40), _uniform_data(rng, 40, duplicated=4)
+    shorter = PIDataset(plain.regular[1:], plain.privileged[1:], plain.targets[1:])
+    jitters = []
+    jittered = twinpi.linalg._plus_diagonal
+    monkeypatch.setattr(
+        twinpi.linalg, "_plus_diagonal", lambda a, c: jitters.append(c) or jittered(a, c)
+    )
+    cs = dict(c1=0.5, c2=2.0, c3=1.0)
+    tied = dict(cs, c4=0.5, c5=2.0, c6=1.0)
+    untied = dict(cs, c4=0.25, c5=1.0, c6=1.0)
+    steps = [  # mu1 -> mu2 -> mu1, then a fold whose rows repeat, then one row fewer
+        (plain, 0.1), (plain, 0.5), (plain, 0.1), (repeated, 0.1), (repeated, 0.05),
+        (shorter, 0.1),
+    ]
+    fitted = failed = 0
+    ws = None
+    with at_blas_threads(threads):
+        for data, mu in steps:
+            # Tied sides hit their own entries; every other system misses and
+            # recycles the dropped entry. The last candidate's systems are the
+            # next step's first, so entries kept across a move would hit.
+            candidates = [
+                _rbf(mu, **tied), _rbf(mu, **dict(tied, c1=2.0, c4=2.0)), _rbf(mu, **untied),
+                _rbf(mu, **dict(untied, c5=4.0)), _rbf(mu, **dict(tied, c3=3.0, c6=3.0)),
+            ]
+            before = None if ws is None else ws.G
+            del jitters[:]
+            ws = build_workspace(data, candidates[0], reuse=ws)
+            assert (ws.G is before) == (before is not None and data is not shorter)
+            moved = _fit_outcomes(data, candidates, ws)
+            assert bool(jitters) == (data is repeated)
+            fresh = _fit_outcomes(data, candidates, build_workspace(data, candidates[0]))
+            _assert_same_outcomes(moved, fresh)
+            fitted += sum(not isinstance(o, str) for o in moved)
+            failed += sum(isinstance(o, str) for o in moved)
+    assert fitted >= 15 and failed >= 1
+
+
+def test_moving_a_workspace_to_a_new_width_allocates_no_square_array(monkeypatch):
+    """Past the KKT gate's own temporaries, less than one m x m array is allocated."""
+    m = 300
+    data = _uniform_data(np.random.default_rng(32), m)
+    untied = dict(c1=0.5, c2=2.0, c3=1.0, c4=0.25, c5=1.0, c6=1.0)
+    ws = build_workspace(data, _rbf(0.05))
+    fit(data, _rbf(0.05, **untied), ws=ws)
+
+    outside_gate = []
+
+    def excluded(gate):
+        def run(*args):
+            outside_gate.append(tracemalloc.get_traced_memory()[1])
+            residuals = gate(*args)
+            tracemalloc.reset_peak()
+            return residuals
+        return run
+
+    for name in ("_down_residuals", "_up_residuals"):
+        monkeypatch.setattr(twinpi.model, name, excluded(getattr(twinpi.model, name)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        moved = build_workspace(data, _rbf(0.1), reuse=ws)
+        fit(data, _rbf(0.1, **untied), ws=moved)
+        outside_gate.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(outside_gate) == 3  # both gates ran
+    assert max(outside_gate) - start < m * m * 8
 
 
 # ------------------------------------------------------- multiplier solves

@@ -210,9 +210,9 @@ def test_cross_validation_builds_one_workspace_per_fold_and_width(monkeypatch):
     calls = []
     original = tuning.build_workspace
 
-    def counting(data, hp):
+    def counting(data, hp, reuse=None):
         calls.append(hp.kernel)
-        return original(data, hp)
+        return original(data, hp, reuse=reuse)
 
     monkeypatch.setattr(tuning, "build_workspace", counting)
     result = cross_validate(small_pi_dataset(seed=15), WIDTH_GRID)
@@ -409,3 +409,10 @@ def test_grid_spec_validation():
         GridSpec(folds=1)
     with pytest.raises(ValueError, match="kernel"):
         GridSpec(kernel="poly")
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="pin_mu must be positive and finite"):
+            GridSpec(pin_mu=bad)
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+            GridSpec(eps=bad)
+    assert GridSpec(eps=0.0, pin_mu=0.5).pin_mu == 0.5
