@@ -39,10 +39,12 @@ from .model import (
     bound_functions,
     build_workspace,
     correcting_values,
+    cross_gram,
     fit,
     fit_krr_comparator,
     kkt_residuals,
     krr_gram,
+    krr_system,
     load_model,
     predict,
     save_model,

@@ -52,6 +52,12 @@ Kernel-mode evaluation (``predict``, ``bound_functions``,
 ``correcting_values`` and ``KRRModel.predict``) forms the cross-Gram between
 the inputs and the training rows one block of rows at a time and keeps only
 each block's products with the weight vectors, so no n x m array exists.
+The prediction reads the regular channel only, so on a cross-validation
+fold that cross-Gram depends on the fold and the kernel width, not on the
+candidate: ``cross_gram`` forms it once, and ``predict(..., k=)`` and
+``KRRModel.predict(..., k=)`` read each row block as a slice of it. A
+gram entry does not depend on the rows formed with it, and each slice is
+multiplied in the same blocks, so the predictions keep every bit.
 
 A fit is accepted only when its six optimality residuals pass the KKT gate.
 The gate is checked side by side: the down-bound side is solved, recovered
@@ -538,51 +544,91 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 def _design_products(
-    x: np.ndarray, train_rows: np.ndarray, kernel: KernelSpec | None, *weights: np.ndarray
+    x: np.ndarray,
+    train_rows: np.ndarray,
+    kernel: KernelSpec | None,
+    *weights: np.ndarray,
+    k: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """The design of ``x`` times each weight vector ``w`` (bias excluded).
 
     Linear mode (``kernel`` None) returns ``x @ w``. Kernel mode returns
-    ``gram(x, train_rows, kernel) @ w`` but forms that cross-Gram one block of
+    ``gram(x, train_rows, kernel) @ w`` but takes that cross-Gram one block of
     at most ``_PREDICT_BLOCK_ROWS + 1`` rows at a time, with one
     matrix-vector product per weight vector (a stacked matrix product rounds
-    differently), so no n x m array exists.
+    differently). Each block is formed on its own, so no n x m array exists,
+    or, when the caller passes the whole cross-Gram as ``k``, is a row slice
+    of it: the same values in the same blocks, so the same bits.
     """
     if kernel is None:
+        if k is not None:
+            raise ValueError("a linear-variant model reads no cross-Gram; k must be None")
         return [x @ w for w in weights]
+    if k is not None:
+        k = np.ascontiguousarray(k, dtype=float)
+        if k.shape != (x.shape[0], train_rows.shape[0]):
+            raise ValueError(
+                f"k must be the {x.shape[0]} x {train_rows.shape[0]} cross-Gram of the inputs "
+                f"and the training rows, got shape {k.shape}"
+            )
     outs = [np.empty(x.shape[0]) for _ in weights]
     for start, stop in _row_blocks(x.shape[0]):
-        block = gram(x[start:stop], train_rows, kernel)
+        block = gram(x[start:stop], train_rows, kernel) if k is None else k[start:stop]
         for out, w in zip(outs, weights):
             np.matmul(block, w, out=out[start:stop])
     return outs
 
 
-def _regular_products(model: TrainedModel, x: np.ndarray, *weights: np.ndarray) -> list[np.ndarray]:
-    """Checked and normalized regular inputs, times each weight vector."""
-    x = _prediction_rows(x, model.n_regular_features, "regular feature")
+def _regular_inputs(
+    model: TrainedModel | KRRModel, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, KernelSpec | None]:
+    """Checked and normalized inputs, the training rows they meet and the kernel."""
+    if isinstance(model, KRRModel):
+        rows, kernel, what = model.train_features, model.kernel, "feature"
+    else:
+        rows, kernel, what = model.train_regular, model.hp.kernel, "regular feature"
+    x = _prediction_rows(x, rows.shape[1], what)
     if model.norm is not None:
         x = model.norm.transform_features(x)
-    return _design_products(x, model.train_regular, model.hp.kernel, *weights)
+    return x, rows, kernel
 
 
-def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+def cross_gram(model: TrainedModel | KRRModel, x: np.ndarray) -> np.ndarray:
+    """The cross-Gram a kernel-mode predict of ``x`` reads: gram(x, training rows, kernel).
+
+    ``x`` is checked and normalized as ``predict`` does it. Every model
+    trained on the same rows with the same kernel reads the same cross-Gram,
+    so the candidates of one cross-validation fold and width can share one,
+    passed to each ``predict(..., k=)`` or ``KRRModel.predict(..., k=)``.
+    """
+    x, rows, kernel = _regular_inputs(model, x)
+    if kernel is None:
+        raise ValueError("a linear-variant model reads no cross-Gram")
+    return gram(x, rows, kernel)
+
+
+def predict(model: TrainedModel, x: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
     """Average of the two bound regressors over regular features only.
 
     Applies the stored training normalization to ``x`` first when the model
     carries one. Privileged features are not a parameter by design. In kernel
     mode the cross-Gram with the training rows is formed one row block at a
     time, so memory beyond the inputs and the output stays at one block.
+
+    ``k``, ``cross_gram(model, x)``, lets models that share training rows and
+    kernel share that cross-Gram: each row block is then read from it, and
+    the predictions are bitwise those without it. A ``k`` of the wrong shape,
+    or any ``k`` for a linear-variant model, raises ``ValueError``.
     """
     weights = model.v1[:-1] + model.v2[:-1]
     bias = model.v1[-1] + model.v2[-1]
-    (scores,) = _regular_products(model, x, weights)
+    (scores,) = _design_products(*_regular_inputs(model, x), weights, k=k)
     return 0.5 * (scores + bias)
 
 
 def bound_functions(model: TrainedModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the down- and up-bound regressors separately."""
-    s1, s2 = _regular_products(model, x, model.v1[:-1], model.v2[:-1])
+    s1, s2 = _design_products(*_regular_inputs(model, x), model.v1[:-1], model.v2[:-1])
     return s1 + model.v1[-1], s2 + model.v2[-1]
 
 
@@ -619,17 +665,30 @@ class KRRModel:
     kernel: KernelSpec
     norm: NormStats | None = None
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Kernel ridge prediction, the cross-Gram formed one row block at a time."""
-        x = _prediction_rows(x, self.train_features.shape[1], "feature")
-        if self.norm is not None:
-            x = self.norm.transform_features(x)
-        return _design_products(x, self.train_features, self.kernel, self.coef)[0]
+    def predict(self, x: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+        """Kernel ridge prediction, the cross-Gram formed one row block at a time.
+
+        ``k``, ``cross_gram(self, x)``, is read block by block instead, as in
+        :func:`predict`: the same bits, and ``ValueError`` for a wrong shape.
+        """
+        return _design_products(*_regular_inputs(self, x), self.coef, k=k)[0]
 
 
-def krr_gram(data: Dataset, kernel: KernelSpec) -> np.ndarray:
-    """The training Gram K of the kernel ridge comparator."""
-    return gram(data.features, data.features, kernel)
+def krr_gram(data: Dataset, kernel: KernelSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """The training Gram K of the kernel ridge comparator, written into ``out`` when given."""
+    return gram(data.features, data.features, kernel, out=out)
+
+
+def krr_system(k: np.ndarray, ridge: float, recycle: LUFactors | None = None) -> LUFactors:
+    """The kernel ridge system ``K + ridge I``, factored on its first solve.
+
+    ``recycle``, a system of K's size that will not be solved again, gives up
+    its matrix, its LU array and its jittered retry's arrays, and this system
+    is written into them: the same values as in new arrays, so the same
+    coefficients.
+    """
+    out = recycle.matrix if recycle is not None and recycle.matrix.shape == k.shape else None
+    return LUFactors(_plus_diagonal(k, ridge, out=out), recycle=recycle)
 
 
 def fit_krr_comparator(
@@ -638,20 +697,24 @@ def fit_krr_comparator(
     kernel: KernelSpec,
     norm: NormStats | None = None,
     k: np.ndarray | None = None,
+    system: LUFactors | None = None,
 ) -> KRRModel:
     """Kernel ridge regression baseline on the same (regular) features.
 
     ``k`` lets ridge candidates on the same rows and kernel share one Gram;
     it must be ``krr_gram(data, kernel)``, which is built here without it.
     The system matrix ``K + ridge I`` is a copy, so ``k`` is left unchanged.
+    ``system``, ``krr_system(k, ridge, recycle=...)``, lets the candidates
+    solve one after another in one kept matrix and LU array; ``k`` is not
+    read then.
     """
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
-    if k is None:
-        k = krr_gram(data, kernel)
+    if system is None:
+        system = krr_system(krr_gram(data, kernel) if k is None else k, ridge)
     coef = solve_checked(
-        _plus_diagonal(k, ridge), np.asarray(data.targets, dtype=float),
-        context="kernel ridge system",
+        system.matrix, np.asarray(data.targets, dtype=float),
+        context="kernel ridge system", factors=system,
     )
     return KRRModel(
         train_features=np.array(data.features, dtype=float),

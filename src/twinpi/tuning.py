@@ -16,7 +16,17 @@ arrays (G, G*, S, H, S H, G^T G and the kept multiplier and recovery
 matrices with their LU arrays) whenever the row count is the same, so
 moving on to the next width or fold allocates no m x m array. The values
 come from the same floating-point operations as in new arrays, so every
-fold RMSE is bitwise unchanged.
+fold RMSE is bitwise unchanged. The kernel ridge comparator likewise builds
+each fold's Gram, and each ridge candidate's system ``K + ridge I`` with its
+LU array, in the arrays of the one before.
+
+A validation prediction reads only the regular channel, so the cross-Gram
+between a fold's validation rows and its training rows depends on the fold
+and the kernel width alone. It is formed once per (fold, width), by
+:func:`~twinpi.model.cross_gram` at the first candidate that fitted (none
+for a group where nothing fitted), and every candidate's ``predict`` reads
+its row blocks from it. The blocks and their products are those ``predict``
+forms without it, so the fold RMSEs keep every bit.
 
 A candidate is eligible only if it fitted on every fold: its score is then
 the mean over all k folds, the usual k-fold estimate, rather than a mean
@@ -35,7 +45,16 @@ from .data import Dataset, PIDataset
 from .kernels import KernelSpec
 from .linalg import NumericalError
 from .metrics import evaluate
-from .model import Hyperparams, build_workspace, fit, fit_krr_comparator, krr_gram, predict
+from .model import (
+    Hyperparams,
+    build_workspace,
+    cross_gram,
+    fit,
+    fit_krr_comparator,
+    krr_gram,
+    krr_system,
+    predict,
+)
 
 
 class TuningError(RuntimeError):
@@ -226,20 +245,24 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
 
     fold_rmses: list[list[float | None]] = [[None] * len(splits) for _ in candidates]
     ws = None
-    for k, (train_idx, val_idx) in enumerate(splits):
+    for fold, (train_idx, val_idx) in enumerate(splits):
         train = data.subset(train_idx)
         x_val, y_val = data.regular[val_idx], data.targets[val_idx]
         for positions in by_kernel.values():
             # One workspace at a time, refilled in the arrays of the one
             # before; its products are computed by the first fit that needs
-            # them and reused by the rest of the group.
+            # them and reused by the rest of the group, and so is the
+            # validation cross-Gram.
             ws = build_workspace(train, candidates[positions[0]][0], reuse=ws)
+            k_val = None
             for pos in positions:
                 try:
                     model = fit(train, candidates[pos][0], ws=ws)
                 except NumericalError:
                     continue
-                fold_rmses[pos][k] = evaluate(y_val, predict(model, x_val)).rmse
+                if k_val is None and model.hp.kernel is not None:
+                    k_val = cross_gram(model, x_val)
+                fold_rmses[pos][fold] = evaluate(y_val, predict(model, x_val, k=k_val)).rmse
     del ws
 
     table: list[CandidateResult] = []
@@ -284,7 +307,8 @@ def tune_krr(data: Dataset, spec: GridSpec) -> tuple[float, KernelSpec]:
     """Cross-validate the kernel ridge comparator over (ridge, width) exponents.
 
     Uses the same exponent ranges, folds and seed as the twin-model search so
-    both models see identical validation splits. The Gram is built once per
+    both models see identical validation splits. The Gram, and the
+    validation cross-Gram once a candidate has fitted, are built once per
     (fold, width) and shared by that width's ridge candidates; as in
     :func:`cross_validate`, only a candidate that fitted on every fold can be
     selected.
@@ -299,18 +323,27 @@ def tune_krr(data: Dataset, spec: GridSpec) -> tuple[float, KernelSpec]:
         by_kernel.setdefault(kernel, []).append(pos)
 
     errors: list[list[float]] = [[] for _ in candidates]
+    k = system = None
     for train_idx, val_idx in splits:
         train = Dataset(data.features[train_idx], data.targets[train_idx])
         x_val, y_val = data.features[val_idx], data.targets[val_idx]
         for kernel, positions in by_kernel.items():
-            k = krr_gram(train, kernel)
+            # The Gram and each candidate's system are written into the arrays
+            # of the ones before whenever the training row count is the same.
+            same_rows = k is not None and k.shape[0] == train.n_samples
+            k = krr_gram(train, kernel, out=k if same_rows else None)
+            k_val = None
             for pos in positions:
+                ridge = candidates[pos][0]
+                system = krr_system(k, ridge, recycle=system)
                 try:
-                    model = fit_krr_comparator(train, candidates[pos][0], kernel, k=k)
+                    model = fit_krr_comparator(train, ridge, kernel, system=system)
                 except NumericalError:
                     continue
-                errors[pos].append(evaluate(y_val, model.predict(x_val)).rmse)
-            del k
+                if k_val is None:
+                    k_val = cross_gram(model, x_val)
+                errors[pos].append(evaluate(y_val, model.predict(x_val, k=k_val)).rmse)
+    del k, system
 
     best: tuple[float, KernelSpec] | None = None
     best_rmse = math.inf

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,78 @@ def test_kept_factors_give_uncached_bits_on_the_jitter_path():
         assert np.array_equal(cached, solve_checked(a, b))
         assert np.max(np.abs(a @ cached - b)) <= 1e-9
     assert factors.jittered is not None
+
+
+def _singular_consistent(rng, n):
+    """An n x n matrix whose last row and column are zero, and a rhs in its range.
+
+    dgesv meets an exactly zero pivot, so solve_checked takes the jittered retry.
+    """
+    a = np.zeros((n, n))
+    a[:-1, :-1] = rng.normal(size=(n - 1, n - 1)) + n * np.eye(n - 1)
+    b = a @ rng.normal(size=n)
+    return a, b
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+def test_recycled_entries_retry_in_the_dropped_retry_arrays_bitwise(threads):
+    rng = np.random.default_rng(9)
+    previous = None
+    with at_blas_threads(threads):
+        # Two retries in a row, a system that needs none, a retry after it, a new size.
+        for n, retries in ((30, True), (30, True), (30, True), (30, False), (30, True),
+                           (31, True)):
+            if retries:
+                a, b = _singular_consistent(rng, n)
+            else:
+                a = rng.normal(size=(n, n)) + n * np.eye(n)
+                b = rng.normal(size=n)
+            spare = None if previous is None else previous.jittered or previous._spare_retry
+            factors = LUFactors(a, recycle=previous)
+            for rhs in (b, 2.0 * b):
+                assert np.array_equal(solve_checked(a, rhs, factors=factors),
+                                      solve_checked(a, rhs))
+            if retries:
+                assert factors.jittered is not None
+                same = spare is not None and n == spare.matrix.shape[0]
+                assert (factors.jittered.matrix is getattr(spare, "matrix", None)) == same
+            else:
+                assert factors.jittered is None and factors._spare_retry is spare
+            previous = factors
+
+
+def test_recycled_retry_fails_with_the_same_message():
+    a = np.zeros((3, 3))
+    a[0, 0] = 1.0
+    b = np.array([1.0, 1.0, 1.0])
+    dropped = LUFactors(a)
+    with pytest.raises(NumericalError):
+        solve_checked(a, b, factors=dropped)
+    a2 = 2.0 * a
+    with pytest.raises(NumericalError) as plain:
+        solve_checked(a2, b, context="probe")
+    with pytest.raises(NumericalError) as recycled:
+        solve_checked(a2, b, context="probe", factors=LUFactors(a2, recycle=dropped))
+    assert str(recycled.value) == str(plain.value)
+
+
+def test_warm_retry_allocates_no_square_array():
+    n = 200
+    rng = np.random.default_rng(10)
+    a, b = _singular_consistent(rng, n)
+    dropped = LUFactors(a)
+    solve_checked(a, b, factors=dropped)
+    a2, b2 = _singular_consistent(rng, n)
+    factors = LUFactors(a2, recycle=dropped)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solve_checked(a2, b2, factors=factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors.jittered is not None
+    assert peak - start < n * n * 8
 
 
 def test_kept_factors_give_uncached_results_when_only_some_rhs_fail_first():

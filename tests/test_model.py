@@ -31,10 +31,12 @@ from twinpi.model import (
     bound_functions,
     build_workspace,
     correcting_values,
+    cross_gram,
     fit,
     fit_krr_comparator,
     kkt_residuals,
     krr_gram,
+    krr_system,
     load_model,
     predict,
     save_model,
@@ -296,7 +298,8 @@ def test_workspace_moved_through_widths_fits_like_a_fresh_one_bitwise(threads, m
     jitters = []
     jittered = twinpi.linalg._plus_diagonal
     monkeypatch.setattr(
-        twinpi.linalg, "_plus_diagonal", lambda a, c: jitters.append(c) or jittered(a, c)
+        twinpi.linalg, "_plus_diagonal",
+        lambda a, c, out=None: jitters.append(c) or jittered(a, c, out=out),
     )
     cs = dict(c1=0.5, c2=2.0, c3=1.0)
     tied = dict(cs, c4=0.5, c5=2.0, c6=1.0)
@@ -661,6 +664,49 @@ def test_kernel_evaluation_equals_full_cross_gram_bitwise(n, kind, m):
         assert np.array_equal(krr.predict(x), want_krr)
 
 
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("normed", [False, True])
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+@pytest.mark.parametrize("n", [1, 60, 63, 64, 65, 129, 1025])
+def test_shared_cross_gram_predicts_bitwise(n, kind, normed, threads):
+    m = 241
+    rng = np.random.default_rng(n + m)
+    model = _kernel_model(rng, kind, m)
+    krr = KRRModel(model.train_regular, rng.normal(size=m), 0.5, model.hp.kernel)
+    if normed:
+        norm = NormStats([-1.0, 0.5, 0.0], [2.0, 3.0, 1.0])
+        model, krr = replace(model, norm=norm), replace(krr, norm=norm)
+    x = rng.normal(size=(n, 2))
+    with at_blas_threads(threads):
+        rows = x if model.norm is None else model.norm.transform_features(x)
+        k = gram(rows, model.train_regular, model.hp.kernel)
+        assert np.array_equal(cross_gram(model, x), k)
+        assert np.array_equal(cross_gram(krr, x), k)
+        assert np.array_equal(predict(model, x, k=k), predict(model, x))
+        assert np.array_equal(krr.predict(x, k=k), krr.predict(x))
+
+
+def test_predict_rejects_a_cross_gram_it_cannot_read():
+    rng = np.random.default_rng(40)
+    model = _kernel_model(rng, "rbf", 9)
+    krr = KRRModel(model.train_regular, rng.normal(size=9), 0.5, model.hp.kernel)
+    x = rng.normal(size=(5, 2))
+    for bad in (np.zeros((4, 9)), np.zeros((5, 8)), np.zeros(45), np.zeros((9, 5))):
+        with pytest.raises(ValueError, match="cross-Gram"):
+            predict(model, x, k=bad)
+        with pytest.raises(ValueError, match="cross-Gram"):
+            krr.predict(x, k=bad)
+    with pytest.raises(ValueError, match="finite"):  # the input checks still run
+        predict(model, np.full((5, 2), np.nan), k=cross_gram(model, x))
+
+    linear = replace(model, v1=model.v1[:3], v2=model.v2[:3], hp=Hyperparams())
+    for k in (x @ linear.train_regular.T, np.zeros((5, 2)), x):
+        with pytest.raises(ValueError, match="linear-variant"):
+            predict(linear, x, k=k)
+    with pytest.raises(ValueError, match="linear-variant"):
+        cross_gram(linear, x)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 63, 64, 65, 66, 67, 69, 127, 129, 193, 1025])
 def test_row_blocks_give_the_full_matrix_vector_product_bitwise(n):
     """Guards the BLAS behaviour streamed evaluation relies on.
@@ -807,6 +853,50 @@ def test_krr_shared_gram_gives_the_same_model_bitwise():
         shared = fit_krr_comparator(data, ridge, kernel, k=k)
         assert np.array_equal(shared.coef, fit_krr_comparator(data, ridge, kernel).coef)
     assert np.array_equal(k, before)
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+def test_krr_systems_moved_through_folds_give_fresh_coefficients_bitwise(threads):
+    rng = np.random.default_rng(41)
+    rows = rng.uniform(size=(61, 3))
+    targets = rng.uniform(size=61)
+    k = system = None
+    with at_blas_threads(threads):
+        for n, mu in ((60, 0.5), (60, 0.25), (61, 0.5), (60, 0.5), (60, 0.5)):
+            data = Dataset(rows[:n], targets[:n])
+            kernel = KernelSpec("rbf", mu=mu)
+            before_k = k if k is not None and k.shape[0] == n else None
+            k = krr_gram(data, kernel, out=before_k)
+            assert before_k is None or k is before_k
+            assert np.array_equal(k, krr_gram(data, kernel))
+            for ridge in (2.0**-6, 1.0, 2.0**5):
+                before = None if system is None else system.matrix
+                system = krr_system(k, ridge, recycle=system)
+                assert (system.matrix is before) == (before is not None and before.shape[0] == n)
+                shared = fit_krr_comparator(data, ridge, kernel, k=k, system=system)
+                assert np.array_equal(shared.coef, fit_krr_comparator(data, ridge, kernel).coef)
+
+
+def test_moving_krr_to_a_new_fold_allocates_no_square_array():
+    m = 300
+    rng = np.random.default_rng(42)
+    data = Dataset(rng.uniform(size=(m, 3)), rng.uniform(size=m))
+    kernel = KernelSpec("rbf", mu=0.3)
+    k = krr_gram(data, kernel)
+    system = krr_system(k, 1.0)
+    fit_krr_comparator(data, 1.0, kernel, system=system)
+    moved = Dataset(data.features[::-1].copy(), data.targets[::-1].copy())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        k = krr_gram(moved, kernel, out=k)
+        for ridge in (0.5, 2.0):
+            system = krr_system(k, ridge, recycle=system)
+            fit_krr_comparator(moved, ridge, kernel, system=system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < m * m * 8
 
 
 def test_krr_validation():

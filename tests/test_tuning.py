@@ -222,6 +222,53 @@ def test_cross_validation_builds_one_workspace_per_fold_and_width(monkeypatch):
     assert set(calls) == widths
 
 
+def test_cross_validation_forms_one_validation_cross_gram_per_fitted_fold_and_width(monkeypatch):
+    # mu up to 2**1 on 24 training rows: the wide widths fail every candidate.
+    spec = GridSpec(c_lo=-1, c_hi=1, mu_lo=-3, mu_hi=1, kernel="rbf", folds=3, seed=14)
+    pi = small_pi_dataset(seed=13, m=36)
+    trains, fitted, formed, shared = [], set(), [], []
+    original_fit, original_gram, original_predict = tuning.fit, tuning.cross_gram, tuning.predict
+
+    def recording_fit(train, hp, ws=None):
+        if not trains or trains[-1] is not train:
+            trains.append(train)
+        model = original_fit(train, hp, ws=ws)
+        fitted.add((len(trains) - 1, hp.kernel))
+        return model
+
+    def counting_gram(model, x):
+        formed.append((len(trains) - 1, model.hp.kernel))
+        return original_gram(model, x)
+
+    def recording_predict(model, x, k=None):
+        shared.append(k is not None)
+        return original_predict(model, x, k=k)
+
+    monkeypatch.setattr(tuning, "fit", recording_fit)
+    monkeypatch.setattr(tuning, "cross_gram", counting_gram)
+    monkeypatch.setattr(tuning, "predict", recording_predict)
+    result = cross_validate(pi, spec)
+    groups = {(fold, hp.kernel) for fold in range(spec.folds) for hp in make_grid(spec)}
+    assert len(trains) == spec.folds
+    assert sorted(formed, key=repr) == sorted(fitted, key=repr)  # once per fitted group
+    assert groups - fitted  # ... and none where every candidate failed
+    assert all(shared)  # every fitted candidate's predict read the shared one
+    assert len(shared) == sum(r is not None for row in result.table for r in row.fold_rmses)
+    assert [r.fold_rmses for r in result.table] == _naive_fold_rmses(pi, spec)
+
+
+def test_cross_validation_of_the_linear_variant_forms_no_cross_gram(monkeypatch):
+    # 6 training rows, within rank[G, G*] <= 4 + 4 + 1.
+    rng = np.random.default_rng(16)
+    pi = PIDataset(rng.uniform(size=(9, 4)), rng.uniform(size=(9, 4)), rng.uniform(size=9))
+    spec = GridSpec(c_lo=-1, c_hi=1, kernel=None, folds=3, seed=14)
+    calls = []
+    monkeypatch.setattr(tuning, "cross_gram", lambda *args: calls.append(args))
+    result = cross_validate(pi, spec)
+    assert not calls
+    assert [r.fold_rmses for r in result.table] == _naive_fold_rmses(pi, spec)
+
+
 def test_candidate_that_failed_a_fold_is_never_selected(monkeypatch):
     pi = small_pi_dataset(seed=13, m=36)
     clean = cross_validate(pi, WIDTH_GRID)
@@ -318,16 +365,24 @@ def test_tune_krr_builds_one_gram_per_fold_and_width(monkeypatch):
     grams, fits = [], []
     original_gram, original_fit = tuning.krr_gram, tuning.fit_krr_comparator
 
-    def counting_gram(data, kernel):
+    def counting_gram(data, kernel, out=None):
         grams.append(kernel)
-        return original_gram(data, kernel)
+        return original_gram(data, kernel, out=out)
 
-    def counting_fit(data, ridge, kernel, norm=None, k=None):
+    def counting_fit(data, ridge, kernel, norm=None, k=None, system=None):
         fits.append((ridge, kernel))
-        return original_fit(data, ridge, kernel, norm=norm, k=k)
+        return original_fit(data, ridge, kernel, norm=norm, k=k, system=system)
+
+    original_cross_gram = tuning.cross_gram
+    cross_grams = []
+
+    def counting_cross_gram(model, x):
+        cross_grams.append(model.kernel)
+        return original_cross_gram(model, x)
 
     monkeypatch.setattr(tuning, "krr_gram", counting_gram)
     monkeypatch.setattr(tuning, "fit_krr_comparator", counting_fit)
+    monkeypatch.setattr(tuning, "cross_gram", counting_cross_gram)
     data = _krr_data()
     choice = tune_krr(data, KRR_GRID)
     candidates = set(fits)
@@ -335,6 +390,7 @@ def test_tune_krr_builds_one_gram_per_fold_and_width(monkeypatch):
     assert len(widths) > 1 and len(candidates) > len(widths)
     assert len(fits) == KRR_GRID.folds * len(candidates)
     assert len(grams) == KRR_GRID.folds * len(widths)
+    assert cross_grams == grams  # one validation cross-Gram per (fold, width)
     means = {c: float(np.mean(r)) for c, r in _naive_krr_rmses(data, KRR_GRID).items()}
     assert choice == min(means, key=lambda c: (means[c], list(means).index(c)))
 
@@ -348,11 +404,11 @@ def test_tune_krr_skips_a_candidate_that_failed_a_fold(monkeypatch):
     original = tuning.fit_krr_comparator
     calls = []
 
-    def fail_worst_fold(train, ridge, kernel, norm=None, k=None):
+    def fail_worst_fold(train, ridge, kernel, norm=None, k=None, system=None):
         calls.append((ridge, kernel))
         if (ridge, kernel) == winner and calls.count(winner) == worst + 1:
             raise NumericalError("forced failure")
-        return original(train, ridge, kernel, norm=norm, k=k)
+        return original(train, ridge, kernel, norm=norm, k=k, system=system)
 
     monkeypatch.setattr(tuning, "fit_krr_comparator", fail_worst_fold)
     assert tune_krr(data, KRR_GRID) != winner
@@ -366,15 +422,15 @@ def test_tune_krr_on_a_linear_grid_searches_the_ridge_only(monkeypatch):
     grams, fits = [], []
     original_gram, original_fit = tuning.krr_gram, tuning.fit_krr_comparator
 
-    def counting_gram(train, kernel):
+    def counting_gram(train, kernel, out=None):
         grams.append(kernel)
-        return original_gram(train, kernel)
+        return original_gram(train, kernel, out=out)
 
-    def failing_fit(train, ridge, kernel, norm=None, k=None):
+    def failing_fit(train, ridge, kernel, norm=None, k=None, system=None):
         fits.append((ridge, kernel))
         if (ridge, kernel) in failing and fits.count((ridge, kernel)) == spec.folds:
             raise NumericalError("forced failure")
-        return original_fit(train, ridge, kernel, norm=norm, k=k)
+        return original_fit(train, ridge, kernel, norm=norm, k=k, system=system)
 
     monkeypatch.setattr(tuning, "krr_gram", counting_gram)
     monkeypatch.setattr(tuning, "fit_krr_comparator", failing_fit)
