@@ -118,6 +118,17 @@ def _fmt_ratio(value: float | None) -> str:
     return "undefined" if value is None else _fmt(value)
 
 
+def _lag_count(raw: str) -> int:
+    """``--lags``: a non-negative integer (0 = off)."""
+    try:
+        lags = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if lags < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0 (0 = off), got {lags}")
+    return lags
+
+
 def _load_dataset(path: str, target: str | None, lags: int) -> Dataset:
     if lags > 0:
         series = load_series(path, _target_selector(target))
@@ -288,6 +299,8 @@ def cmd_benchmark(args) -> int:
         raise UsageError("no datasets given: use --synthetic and/or --data")
     if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
+    if not 0.0 < args.split_ratio < 1.0:
+        raise UsageError(f"--split-ratio must lie in (0, 1), got {args.split_ratio}")
     try:
         grid = GridSpec(
             c_lo=args.grid_lo, c_hi=args.grid_hi, mu_lo=args.grid_lo, mu_hi=args.grid_hi,
@@ -438,7 +451,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     fit_p = subs.add_parser("fit", help="normalize, split privileged features and fit")
     fit_p.add_argument("--data", default=None, help="training CSV")
     fit_p.add_argument("--target", default=None, help="target column name or index")
-    fit_p.add_argument("--lags", type=int, default=0,
+    fit_p.add_argument("--lags", type=_lag_count, default=0,
                        help="lag-embed the target column as a series (0 = off)")
     for i in range(1, 7):
         fit_p.add_argument(f"--c{i}", type=float, default=1.0)
@@ -450,7 +463,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     eval_p.add_argument("--model", default=None, help="model.json from fit")
     eval_p.add_argument("--data", default=None, help="test CSV")
     eval_p.add_argument("--target", default=None)
-    eval_p.add_argument("--lags", type=int, default=0)
+    eval_p.add_argument("--lags", type=_lag_count, default=0)
     eval_p.add_argument("--out", default=None, help="CSV to append a metrics row to")
     eval_p.set_defaults(func=cmd_eval)
 
@@ -459,7 +472,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
                        help="synthetic dataset id (repeatable)")
     bench.add_argument("--data", action="append", help="dataset CSV path (repeatable)")
     bench.add_argument("--target", default=None)
-    bench.add_argument("--lags", type=int, default=0)
+    bench.add_argument("--lags", type=_lag_count, default=0)
     bench.add_argument("--noise", choices=list(NoiseSpec.KINDS), default="uniform_pm02")
     bench.add_argument("--repeats", type=int, default=4)
     bench.add_argument("--n-train", type=int, default=100)

@@ -48,6 +48,15 @@ the same in any layout, and a product into ``out=`` makes the same BLAS
 call), so the reuse changes memory traffic, never a bit. A warm fold fit
 allocates no m x m array but the KKT gate's own temporaries.
 
+A fit that builds its own workspace drops each product once no solve of the
+fit reads it. With tied parameters it also builds each system in the array
+of a product it replaces: the multiplier matrix is summed in S H's array
+(after Se, He and SHe are kept) and S and H are dropped before its LU; beta
+is solved on the kept factors right after alpha, with any error held until
+the down-side gate has passed; the multiplier system is then dropped and
+G^T G + c1 I is built in G^T G's array. At most five m x m arrays are then
+live at once (G, G*, S, H and S H while they are formed), not seven.
+
 Kernel-mode evaluation (``predict``, ``bound_functions``,
 ``correcting_values`` and ``KRRModel.predict``) forms the cross-Gram between
 the inputs and the training rows one block of rows at a time and keeps only
@@ -62,7 +71,8 @@ multiplied in the same blocks, so the predictions keep every bit.
 A fit is accepted only when its six optimality residuals pass the KKT gate.
 The gate is checked side by side: the down-bound side is solved, recovered
 and checked first, and a down-side rejection raises before the up-bound
-multiplier solve and recovery run.
+recovery runs, and before any up-bound factorization (a tied fit on its own
+workspace has solved beta on the kept multiplier factors by then).
 """
 
 from __future__ import annotations
@@ -405,6 +415,32 @@ def _recover(ws: FitWorkspace, c: float, rhs: np.ndarray, context: str) -> np.nd
     return solve_checked(system.matrix, rhs, context=context, factors=system)
 
 
+def _keep_multiplier_in_sh(ws: FitWorkspace, c_reg: float, c_corr: float) -> None:
+    """Make the kept (c_reg, c_corr) multiplier system S H's own array; drop S and H.
+
+    Only for a workspace no other fit reads. Se, He and SHe are read first,
+    since every right-hand side needs them. ``H *= c_reg/c_corr; H += S;
+    SH *= 1/c_corr; SH += H`` is ``_multiplier_matrix``'s sum bit for bit
+    (floating-point addition is commutative), so every solve that hits the
+    entry returns what it would have returned.
+    """
+    ws.Se, ws.He, ws.SHe  # formed before S and H are overwritten
+    s, h, sh = ws.S, ws.H, ws.SH
+    ws.release("S", "H", "SH")
+    h *= c_reg / c_corr
+    h += s
+    sh *= 1.0 / c_corr
+    sh += h
+    ws.factors("multiplier", (c_reg, c_corr), lambda out: sh)
+
+
+def _keep_recovery_in_gtg(ws: FitWorkspace, c: float) -> None:
+    """Make the kept recovery system G^T G + c I G^T G's own array; drop G^T G."""
+    gtg = ws.GtG
+    ws.release("GtG")
+    ws.factors("recovery", c, lambda out: _plus_diagonal(gtg, c, out=gtg))
+
+
 def _gate(side: str, residuals: tuple[float, float, float], tol: float) -> None:
     """Raise NumericalError unless every residual of one side is at most ``tol``."""
     failed = [i for i, r in enumerate(residuals) if not r <= tol]
@@ -451,8 +487,8 @@ def fit(
     choice whose per-solve checks pass but whose recovered solution violates
     the optimality system fails loudly instead of returning garbage. The gate
     is checked one side at a time, down side first: a down-side rejection
-    raises before the up-side multiplier solve and recovery run, so a rejected
-    fit costs about half an accepted one. The message names the side and the
+    raises before the up side factors or recovers anything, so a rejected fit
+    costs about half an accepted one. The message names the side and the
     residual (stationarity, correcting or feasibility) that failed. A failed
     linear-variant fit with more training rows than d_regular + d_privileged
     + 1 also says that the rows exceed the rank of [G, G*].
@@ -464,8 +500,12 @@ def fit(
     workspace, its products and its kept factors; it must be
     ``build_workspace(data, hp)``, with or without ``reuse=``, for this
     ``data`` and ``hp.kernel``. Without it the workspace is built here, and
-    S, H and S H are dropped as soon as no multiplier matrix is left to
-    assemble.
+    each product is dropped as soon as no solve of this fit reads it. With
+    tied parameters, (c4, c5) = (c1, c2), the multiplier matrix is then
+    assembled in S H's array, beta is solved on its kept factors right after
+    alpha (an error it raises waits for the down-side gate, so rejections
+    keep their order and messages), and G^T G + c1 I is built in G^T G's
+    array, so at most five m x m arrays are live at once.
     """
     own_ws = ws is None
     if own_ws:
@@ -474,25 +514,40 @@ def fit(
     tol = KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(y))))
 
     # A workspace built here drops each product and factor entry once no
-    # remaining solve of this fit reads it, so keeping factors does not raise
-    # the fit's peak memory. With (c4, c5) = (c1, c2) the up side solves
-    # alpha's matrix again, else it assembles its own from S, H and S H; with
-    # c4 = c1 it reuses the down side's recovery factors, else it builds its
-    # own matrix from G^T G.
+    # remaining solve of this fit reads it. With tied parameters, (c4, c5) =
+    # (c1, c2), both sides share one multiplier and one recovery system, so
+    # each is built in the array of a product it replaces and beta is solved
+    # on the kept multiplier factors right after alpha; its error, if any,
+    # waits for the down-side gate. Untied, the up side assembles its own
+    # multiplier matrix from S, H and S H after the down-side gate, and
+    # builds its own recovery matrix from G^T G unless c4 = c1.
+    in_place = own_ws and (hp.c4, hp.c5) == (hp.c1, hp.c2)
     try:
+        if in_place:
+            _keep_multiplier_in_sh(ws, hp.c1, hp.c2)
         alpha = solve_alpha(ws, y, hp)
-        if own_ws:
-            tied = (hp.c4, hp.c5) == (hp.c1, hp.c2)
-            ws.release(*(("S", "H", "SH") if tied else ("multiplier",)))
+        beta_error = None
+        if in_place:
+            try:
+                beta = solve_beta(ws, y, hp)
+            except NumericalError as exc:
+                beta_error = exc
+            ws.release("multiplier")
+            _keep_recovery_in_gtg(ws, hp.c1)
+        elif own_ws:
+            ws.release("multiplier")
         v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
-        if own_ws:
+        if own_ws and not in_place:
             ws.release("GtG" if hp.c4 == hp.c1 else "recovery")
         v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
         _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
 
-        beta = solve_beta(ws, y, hp)
-        if own_ws:
-            ws.release("S", "H", "SH", "multiplier")
+        if beta_error is not None:
+            raise beta_error
+        if not in_place:
+            beta = solve_beta(ws, y, hp)
+            if own_ws:
+                ws.release("S", "H", "SH", "multiplier")
         v2 = _recover(ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
         v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
         _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)

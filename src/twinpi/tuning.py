@@ -55,6 +55,7 @@ from .model import (
     krr_system,
     predict,
 )
+from .model import _linear_row_limit
 
 
 class TuningError(RuntimeError):
@@ -239,6 +240,14 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
     """
     candidates = _grid_candidates(spec)
     splits = _fold_splits(data.n_samples, spec)
+    # A linear-variant fit on more rows than [G, G*] can span must fail, so
+    # a fold that large fails every candidate: say why before fitting any.
+    for fold, (train_idx, _) in enumerate(splits):
+        limit = _linear_row_limit(data.subset(train_idx), candidates[0][0])
+        if limit is not None:
+            raise TuningError(
+                f"none of the {len(candidates)} candidates can fit fold {fold + 1}: {limit}"
+            )
     by_kernel: dict[KernelSpec | None, list[int]] = {}
     for pos, (hp, _) in enumerate(candidates):
         by_kernel.setdefault(hp.kernel, []).append(pos)

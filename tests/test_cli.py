@@ -246,6 +246,20 @@ def test_benchmark_bad_grid_flags_are_usage_errors(tmp_path, capsys, flags, mess
     assert not (out / "benchmark.csv").exists()
 
 
+@pytest.mark.parametrize("ratio", [1.5, 0, -0.2, "nan"])
+def test_benchmark_bad_split_ratio_is_a_usage_error(tmp_path, capsys, ratio):
+    data = tmp_path / "tiny.csv"
+    data.write_text("x1,x2,y\n0,0,0\n1,2,1\n2,3,2\n3,1,0\n")
+    out = tmp_path / "bench"
+    code = run(["benchmark", "--data", data, "--split-ratio", ratio, "--repeats", 1,
+                "--out", out])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --split-ratio must lie in (0, 1), got {float(ratio)}\n"
+    assert "FAILED" not in captured.out + captured.err
+    assert not (out / "benchmark.csv").exists()
+
+
 def test_benchmark_byte_identical_reruns(tmp_path):
     args = ["benchmark", "--synthetic", "f3", "--repeats", 2, "--n-train", 40,
             "--n-test", 30, "--max-candidates", 6, "--grid-lo", -6, "--grid-hi", -2,
@@ -410,6 +424,32 @@ def test_fit_and_eval_lag_embedded_series(tmp_path):
     assert model.n_regular_features == 2  # ceil(3 / 2) regular lag columns
     assert run(["eval", "--model", fit_dir / "model.json",
                 "--data", series, "--lags", 3]) == 0
+
+
+@pytest.mark.parametrize("command", ["fit", "eval", "benchmark"])
+def test_negative_lags_are_usage_errors(tmp_path, capsys, command):
+    series = tmp_path / "stock.csv"
+    _write_series(series)
+    out = tmp_path / "o"
+    flags = {"fit": ["--out", out], "eval": ["--model", tmp_path / "model.json"],
+             "benchmark": ["--repeats", 1, "--out", out]}[command]
+    assert run([command, "--data", series, "--lags", -2] + flags) == 1
+    assert capsys.readouterr().err == (
+        "usage error: argument --lags: must be at least 0 (0 = off), got -2\n"
+    )
+    assert not out.exists()
+
+
+def test_negative_lags_in_a_config_are_a_usage_error(tmp_path, capsys):
+    series = tmp_path / "stock.csv"
+    _write_series(series)
+    cfg = tmp_path / "fit.cfg"
+    write_config({"data": str(series), "lags": "-1", "out": str(tmp_path / "o")}, cfg)
+    assert run(["fit", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: config {cfg}: argument --lags: must be at least 0 (0 = off), got -1\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_bounds_linear_variant_uses_squared_row_norms(tmp_path, capsys):

@@ -13,8 +13,10 @@ from support import BLAS_THREADS, at_blas_threads, draw_well_posed, rel_err, sin
 from twinpi.data import (
     DataError,
     Dataset,
+    NoiseSpec,
     NormStats,
     PIDataset,
+    gen_synthetic,
     min_max_normalize,
     split_privileged,
 )
@@ -463,7 +465,9 @@ def _clustered_data() -> PIDataset:
 
 
 def test_fit_rejects_hopelessly_conditioned_hyperparameters():
-    with pytest.raises(NumericalError, match="fit rejected|residual"):
+    # [G, G*] of a wide Gaussian on clustered points does not numerically span R^m.
+    infeasible = "fit rejected: down-bound feasibility optimality residual"
+    with pytest.raises(NumericalError, match=infeasible):
         fit(_clustered_data(), Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
 
 
@@ -531,19 +535,86 @@ def test_side_by_side_gate_agrees_with_six_residual_gate():
     assert min(outcomes.values()) >= 1, outcomes
 
 
+def _counting_factorizations(monkeypatch):
+    """Shapes of the matrices factored by LUFactors (first solves, retries included)."""
+    factored = []
+    original = twinpi.linalg.LUFactors.solve
+
+    def solve(self, b):
+        if self._lu is None:
+            factored.append(self.matrix.shape)
+        return original(self, b)
+
+    monkeypatch.setattr(twinpi.linalg.LUFactors, "solve", solve)
+    return factored
+
+
 def test_down_side_rejection_skips_up_side_solve(monkeypatch):
-    calls = []
-
-    def counting_solve_beta(*args, **kwargs):
-        calls.append(args)
-        return solve_beta(*args, **kwargs)
-
-    monkeypatch.setattr(twinpi.model, "solve_beta", counting_solve_beta)
-    with pytest.raises(NumericalError, match=r"fit rejected: down-bound \w+ optimality residual"):
-        fit(_clustered_data(), Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
+    calls = _counting(monkeypatch, "solve_beta")
+    recoveries = _counting(monkeypatch, "_recover")
+    factored = _counting_factorizations(monkeypatch)
+    rejected = r"fit rejected: down-bound \w+ optimality residual"
+    data = _clustered_data()
+    # Untied, the up side has a system of its own: a down-side rejection never solves it.
+    with pytest.raises(NumericalError, match=rejected):
+        fit(data, Hyperparams(c4=2.0, kernel=KernelSpec("rbf", mu=4.0)))
     assert calls == []
+    # Tied, beta is solved on the kept multiplier factors before the down-side
+    # gate, but the up side factors nothing and recovers nothing.
+    del recoveries[:], factored[:]
+    with pytest.raises(NumericalError, match=rejected):
+        fit(data, Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
+    m = data.n_samples
+    assert factored == [(m, m), (m + 1, m + 1)]  # one multiplier, one recovery
+    assert [context for *_, context in recoveries] == ["down-bound recovery"]
+    assert len(calls) == 1
+    del calls[:]
     fit(REF_DATA, REF_HP)
     assert len(calls) == 1  # the counter sees the up side of an accepted fit
+
+
+def test_held_up_side_error_waits_for_the_down_side_gate(monkeypatch):
+    forced = NumericalError("up-bound multiplier system: forced failure")
+    calls = []
+
+    def failing_solve_beta(*args, **kwargs):
+        calls.append(args)
+        raise forced
+
+    monkeypatch.setattr(twinpi.model, "solve_beta", failing_solve_beta)
+    recoveries = _counting(monkeypatch, "_recover")
+    # The down side is rejected too: its gate speaks first.
+    with pytest.raises(NumericalError, match=r"fit rejected: down-bound \w+ optimality residual"):
+        fit(_clustered_data(), Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
+    assert len(calls) == 1
+    # The down side passes: beta's error surfaces unchanged, and nothing is recovered for it.
+    del calls[:], recoveries[:]
+    data, hp = draw_well_posed(np.random.default_rng(24), "rbf")
+    tied = replace(hp, c4=hp.c1, c5=hp.c2, c6=hp.c3)
+    with pytest.raises(NumericalError) as info:
+        fit(data, tied)
+    assert info.value is forced and len(calls) == 1
+    assert [context for *_, context in recoveries] == ["down-bound recovery"]
+
+
+def test_tied_fit_on_its_own_workspace_peaks_at_five_square_arrays():
+    m = 300
+    train, _ = gen_synthetic("f2", m, 10, NoiseSpec("uniform_pm02", seed=1), seed=0)
+    data = split_privileged(min_max_normalize(train)[0])
+    hp = Hyperparams(c1=0.5, c2=4.0, c3=2.0, c4=0.5, c5=4.0, c6=2.0,
+                     kernel=KernelSpec("rbf", mu=0.0625))
+    tracemalloc.start()
+    try:
+        own = fit(data, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.2 * m * m * 8  # G, G*, S, H and S H, or the gate's G*^T copy
+    shared = fit(data, hp, ws=build_workspace(data, hp))
+    for name in ("v1", "v2", "v1_star", "v2_star"):
+        assert np.array_equal(getattr(own, name), getattr(shared, name)), name
+    assert np.array_equal(own.duals.alpha, shared.duals.alpha)
+    assert np.array_equal(own.duals.beta, shared.duals.beta)
 
 
 # ----------------------------------------------------------- predictions

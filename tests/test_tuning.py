@@ -312,6 +312,24 @@ def test_no_candidate_fitting_every_fold_raises(monkeypatch):
         cross_validate(pi, WIDTH_GRID)
 
 
+def test_linear_tuning_past_the_row_limit_fails_before_any_fit(monkeypatch):
+    # f2 has 3 regular and 2 privileged columns, so rank[G, G*] <= 6. Ten rows
+    # in 3 folds train on 6, 7 and 7 rows: the second fold dooms every candidate.
+    pi = small_pi_dataset(seed=3, m=10)
+    spec = GridSpec(c_lo=-2, c_hi=2, kernel=None, folds=3, seed=5, max_candidates=8)
+    assert sorted(len(fold) for fold in kfold_indices(10, 3, 5)) == [3, 3, 4]
+    calls = []
+    monkeypatch.setattr(tuning, "fit", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(TuningError) as info:
+        cross_validate(pi, spec)
+    assert calls == []
+    first_large = next(i for i, fold in enumerate(kfold_indices(10, 3, 5)) if len(fold) == 3)
+    assert str(info.value) == (
+        f"none of the {len(make_grid(spec))} candidates can fit fold {first_large + 1}: "
+        "the 7 training rows exceed rank[G, G*] <= d_regular + d_privileged + 1 = 6"
+    )
+
+
 def test_all_candidates_failing_raises_with_log():
     rng = np.random.default_rng(8)
     data = PIDataset(
