@@ -427,8 +427,6 @@ def cmd_bounds(args) -> int:
 def _add_common_model_flags(sub) -> None:
     sub.add_argument("--kernel", choices=["linear", "rbf"], default="rbf",
                      help="linear feature-space variant or Gaussian-kernel variant")
-    sub.add_argument("--mu", type=float, default=0.25,
-                     help="Gaussian kernel width (default suits min-max normalized features)")
     sub.add_argument("--eps", type=float, default=0.01,
                      help="insensitivity margin used for both bound regressors")
 
@@ -456,6 +454,8 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     for i in range(1, 7):
         fit_p.add_argument(f"--c{i}", type=float, default=1.0)
     _add_common_model_flags(fit_p)
+    fit_p.add_argument("--mu", type=float, default=0.25,
+                       help="Gaussian kernel width (default suits min-max normalized features)")
     fit_p.add_argument("--out", default=".", help="output directory")
     fit_p.set_defaults(func=cmd_fit)
 
@@ -487,7 +487,7 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
     bench.add_argument("--max-candidates", type=int, default=64,
                        help="stride-subsample the grid to this many candidates")
     bench.add_argument("--pin-mu", type=float, default=None,
-                       help="fix the kernel width instead of tuning it")
+                       help="fix the rbf kernel width instead of tuning it")
     _add_common_model_flags(bench)
     bench.add_argument("--with-krr", action="store_true",
                        help="also tune and score the kernel ridge comparator")

@@ -751,22 +751,19 @@ def fit_krr_comparator(
     ridge: float,
     kernel: KernelSpec,
     norm: NormStats | None = None,
-    k: np.ndarray | None = None,
     system: LUFactors | None = None,
 ) -> KRRModel:
     """Kernel ridge regression baseline on the same (regular) features.
 
-    ``k`` lets ridge candidates on the same rows and kernel share one Gram;
-    it must be ``krr_gram(data, kernel)``, which is built here without it.
-    The system matrix ``K + ridge I`` is a copy, so ``k`` is left unchanged.
-    ``system``, ``krr_system(k, ridge, recycle=...)``, lets the candidates
-    solve one after another in one kept matrix and LU array; ``k`` is not
-    read then.
+    ``system``, ``krr_system(krr_gram(data, kernel), ridge, recycle=...)``,
+    lets ridge candidates on the same rows and kernel share one Gram and
+    solve one after another in one kept matrix and LU array; it is built
+    here without it.
     """
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
     if system is None:
-        system = krr_system(krr_gram(data, kernel) if k is None else k, ridge)
+        system = krr_system(krr_gram(data, kernel), ridge)
     coef = solve_checked(
         system.matrix, np.asarray(data.targets, dtype=float),
         context="kernel ridge system", factors=system,

@@ -6,31 +6,41 @@ so a kernel grid has four axes (c1, c2, c3, mu) and a linear one has three.
 Candidates are ordered lexicographically by exponent tuple, and a stride
 subsample over that order keeps desk-scale runs tractable.
 
-Cross-validation runs fold by fold and, within a fold, kernel width by
-kernel width: every candidate sharing a (fold, width) pair is fitted on one
-workspace, so the Gram matrices and their products are built once per pair,
-and the kernel ridge comparator's Gram likewise. Consecutive candidates on
-one workspace also share the LU factors of equal systems (see
-:mod:`twinpi.model`). Each new workspace is built in the previous one's
-arrays (G, G*, S, H, S H, G^T G and the kept multiplier and recovery
-matrices with their LU arrays) whenever the row count is the same, so
-moving on to the next width or fold allocates no m x m array. The values
-come from the same floating-point operations as in new arrays, so every
-fold RMSE is bitwise unchanged. The kernel ridge comparator likewise builds
-each fold's Gram, and each ridge candidate's system ``K + ridge I`` with its
-LU array, in the arrays of the one before.
+Both searches, the twin model's (:func:`cross_validate`) and the kernel
+ridge comparator's (:func:`tune_krr`), run one fold loop and one selection
+rule. The loop goes fold by fold and, within a fold, kernel width by kernel
+width. Each model supplies three steps to it:
+
+- a "prepare" step, run once per (fold, width): the twin model builds its
+  workspace (G, G* and, on demand, their products; see :mod:`twinpi.model`)
+  and the comparator its Gram K;
+- a "fit" step, run per candidate on what was prepared: the twin model
+  fits on the shared workspace, and consecutive candidates share the LU
+  factors of equal systems; the comparator writes ``K + ridge I`` and its
+  LU array into the arrays of the candidate before and solves it;
+- its ``predict``.
+
+Each prepared workspace or Gram is built in the previous one's arrays
+whenever the training row count is the same (for the twin model: G, G*, S,
+H, S H, G^T G and the kept multiplier and recovery matrices with their LU
+arrays), so moving on to the next width or fold allocates no m x m array.
+The values come from the same floating-point operations as in new arrays,
+so every fold RMSE is bitwise unchanged.
 
 A validation prediction reads only the regular channel, so the cross-Gram
 between a fold's validation rows and its training rows depends on the fold
-and the kernel width alone. It is formed once per (fold, width), by
+and the kernel width alone. The loop forms it once per (fold, width), by
 :func:`~twinpi.model.cross_gram` at the first candidate that fitted (none
-for a group where nothing fitted), and every candidate's ``predict`` reads
-its row blocks from it. The blocks and their products are those ``predict``
-forms without it, so the fold RMSEs keep every bit.
+for a group where nothing fitted, or for the linear feature-space variant),
+and every candidate's ``predict`` reads its row blocks from it. The blocks
+and their products are those ``predict`` forms without it, so the fold
+RMSEs keep every bit.
 
-A candidate is eligible only if it fitted on every fold: its score is then
-the mean over all k folds, the usual k-fold estimate, rather than a mean
-over whichever folds happened to fit.
+A fit that raises :class:`~twinpi.linalg.NumericalError` leaves its fold
+RMSE empty. A candidate is eligible only if it fitted on every fold: its
+score is then the mean over all k folds, the usual k-fold estimate, rather
+than a mean over whichever folds happened to fit. The eligible candidate of
+least mean wins, the earliest in grid order on ties.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from .linalg import NumericalError
 from .metrics import evaluate
 from .model import (
     Hyperparams,
+    KRRModel,
     build_workspace,
     cross_gram,
     fit,
@@ -72,7 +83,8 @@ class GridSpec:
 
     ``kernel`` is "rbf", "linear" (identity-kernel variant) or None for the
     linear feature-space variant; only "rbf" adds a width axis, which
-    ``pin_mu`` removes again by fixing the width.
+    ``pin_mu`` removes again by fixing the width (with any other kernel,
+    ``pin_mu`` is an error).
     """
 
     c_lo: int = -8
@@ -98,6 +110,8 @@ class GridSpec:
             raise ValueError("max_candidates must be positive when given")
         if self.pin_mu is not None and not (self.pin_mu > 0 and math.isfinite(self.pin_mu)):
             raise ValueError(f"pin_mu must be positive and finite, got {self.pin_mu}")
+        if self.pin_mu is not None and self.kernel != "rbf":
+            raise ValueError(f"pin_mu needs kernel 'rbf', got {self.kernel!r}")
         if not (self.eps >= 0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be finite and non-negative, got {self.eps}")
 
@@ -229,6 +243,49 @@ def _fold_splits(m: int, spec: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     return splits
 
 
+def _fold_rmses(
+    splits, kernels, train_rows, x, y, prepare, fit_one, predict_one
+) -> list[list[float | None]]:
+    """Each candidate's validation RMSE on each fold, None where its fit failed.
+
+    Fold by fold and, within a fold, kernel width by kernel width: the
+    candidates of one (fold, width) group share what ``prepare(train, pos,
+    previous)`` returns for the group's first candidate ``pos``, built in the
+    arrays of the group before, and ``fit_one(train, pos, prepared)`` fits
+    each of them. The validation cross-Gram is formed at the group's first
+    fitted candidate and read by every ``predict_one(model, x, k=)``.
+    """
+    groups: dict[KernelSpec | None, list[int]] = {}
+    for pos, kernel in enumerate(kernels):
+        groups.setdefault(kernel, []).append(pos)
+    table: list[list[float | None]] = [[None] * len(splits) for _ in kernels]
+    prepared = None
+    for fold, (train_idx, val_idx) in enumerate(splits):
+        train = train_rows(train_idx)
+        x_val, y_val = x[val_idx], y[val_idx]
+        for kernel, positions in groups.items():
+            prepared = prepare(train, positions[0], prepared)
+            k_val = None
+            for pos in positions:
+                try:
+                    model = fit_one(train, pos, prepared)
+                except NumericalError:
+                    continue
+                if k_val is None and kernel is not None:
+                    k_val = cross_gram(model, x_val)
+                table[pos][fold] = evaluate(y_val, predict_one(model, x_val, k=k_val)).rmse
+    return table
+
+
+def _best(table: list[list[float | None]]) -> int:
+    """The row of least mean among rows with no None (the earliest on ties), else -1."""
+    best, best_rmse = -1, math.inf
+    for pos, rmses in enumerate(table):
+        if None not in rmses and (mean := float(np.mean(rmses))) < best_rmse:
+            best, best_rmse = pos, mean
+    return best
+
+
 def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
     """Score every grid candidate by k-fold validation RMSE and pick the best.
 
@@ -248,44 +305,19 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
             raise TuningError(
                 f"none of the {len(candidates)} candidates can fit fold {fold + 1}: {limit}"
             )
-    by_kernel: dict[KernelSpec | None, list[int]] = {}
-    for pos, (hp, _) in enumerate(candidates):
-        by_kernel.setdefault(hp.kernel, []).append(pos)
-
-    fold_rmses: list[list[float | None]] = [[None] * len(splits) for _ in candidates]
-    ws = None
-    for fold, (train_idx, val_idx) in enumerate(splits):
-        train = data.subset(train_idx)
-        x_val, y_val = data.regular[val_idx], data.targets[val_idx]
-        for positions in by_kernel.values():
-            # One workspace at a time, refilled in the arrays of the one
-            # before; its products are computed by the first fit that needs
-            # them and reused by the rest of the group, and so is the
-            # validation cross-Gram.
-            ws = build_workspace(train, candidates[positions[0]][0], reuse=ws)
-            k_val = None
-            for pos in positions:
-                try:
-                    model = fit(train, candidates[pos][0], ws=ws)
-                except NumericalError:
-                    continue
-                if k_val is None and model.hp.kernel is not None:
-                    k_val = cross_gram(model, x_val)
-                fold_rmses[pos][fold] = evaluate(y_val, predict(model, x_val, k=k_val)).rmse
-    del ws
-
-    table: list[CandidateResult] = []
-    best_index = -1
-    best_rmse = math.inf
-    for pos, ((hp, exponents), rmses) in enumerate(zip(candidates, fold_rmses)):
-        scored = [r for r in rmses if r is not None]
+    hps = [hp for hp, _ in candidates]
+    rmses = _fold_rmses(
+        splits, [hp.kernel for hp in hps], data.subset, data.regular, data.targets,
+        lambda train, pos, ws: build_workspace(train, hps[pos], reuse=ws),
+        lambda train, pos, ws: fit(train, hps[pos], ws=ws),
+        predict,
+    )
+    table = []
+    for (hp, exponents), row in zip(candidates, rmses):
+        scored = [r for r in row if r is not None]
         mean_rmse = float(np.mean(scored)) if scored else None
-        failed = len(rmses) - len(scored)
-        table.append(CandidateResult(hp, exponents, mean_rmse, failed, tuple(rmses)))
-        if failed == 0 and mean_rmse < best_rmse:
-            best_rmse = mean_rmse
-            best_index = pos
-
+        table.append(CandidateResult(hp, exponents, mean_rmse, len(row) - len(scored), tuple(row)))
+    best_index = _best(rmses)
     if best_index < 0:
         failures = sum(r.failed_folds for r in table)
         raise TuningError(
@@ -293,7 +325,7 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
             f"({failures} failed folds total)"
         )
     return TuneResult(
-        best=table[best_index].hp,
+        best=hps[best_index],
         best_index=best_index,
         table=tuple(table),
         folds=tuple(val_idx for _, val_idx in splits),
@@ -315,53 +347,34 @@ def export_tune_csv(result: TuneResult, path: str | Path) -> None:
 def tune_krr(data: Dataset, spec: GridSpec) -> tuple[float, KernelSpec]:
     """Cross-validate the kernel ridge comparator over (ridge, width) exponents.
 
-    Uses the same exponent ranges, folds and seed as the twin-model search so
-    both models see identical validation splits. The Gram, and the
-    validation cross-Gram once a candidate has fitted, are built once per
-    (fold, width) and shared by that width's ridge candidates; as in
-    :func:`cross_validate`, only a candidate that fitted on every fold can be
-    selected.
+    Runs the fold loop and selection rule of :func:`cross_validate` on the
+    same exponent ranges, folds and seed, so both models are scored on
+    identical validation rows. A (fold, width) group shares one Gram, and
+    each ridge candidate's system ``K + ridge I`` is written into the arrays
+    of the one before.
     """
-    splits = _fold_splits(data.n_samples, spec)
     candidates = [
         (2.0 ** exponents[0], _candidate_kernel(spec, exponents[1:]) or KernelSpec("linear"))
         for exponents in _grid_points(_grid_axes(spec, 1), spec.max_candidates)
     ]
-    by_kernel: dict[KernelSpec, list[int]] = {}
-    for pos, (_, kernel) in enumerate(candidates):
-        by_kernel.setdefault(kernel, []).append(pos)
+    system = None
 
-    errors: list[list[float]] = [[] for _ in candidates]
-    k = system = None
-    for train_idx, val_idx in splits:
-        train = Dataset(data.features[train_idx], data.targets[train_idx])
-        x_val, y_val = data.features[val_idx], data.targets[val_idx]
-        for kernel, positions in by_kernel.items():
-            # The Gram and each candidate's system are written into the arrays
-            # of the ones before whenever the training row count is the same.
-            same_rows = k is not None and k.shape[0] == train.n_samples
-            k = krr_gram(train, kernel, out=k if same_rows else None)
-            k_val = None
-            for pos in positions:
-                ridge = candidates[pos][0]
-                system = krr_system(k, ridge, recycle=system)
-                try:
-                    model = fit_krr_comparator(train, ridge, kernel, system=system)
-                except NumericalError:
-                    continue
-                if k_val is None:
-                    k_val = cross_gram(model, x_val)
-                errors[pos].append(evaluate(y_val, model.predict(x_val, k=k_val)).rmse)
-    del k, system
+    def prepare(train: Dataset, pos: int, k: np.ndarray | None) -> np.ndarray:
+        same_rows = k is not None and len(k) == train.n_samples
+        return krr_gram(train, candidates[pos][1], out=k if same_rows else None)
 
-    best: tuple[float, KernelSpec] | None = None
-    best_rmse = math.inf
-    for candidate, rmses in zip(candidates, errors):
-        if len(rmses) == len(splits):
-            mean_rmse = float(np.mean(rmses))
-            if mean_rmse < best_rmse:
-                best_rmse = mean_rmse
-                best = candidate
-    if best is None:
+    def fit_one(train: Dataset, pos: int, k: np.ndarray) -> KRRModel:
+        nonlocal system
+        ridge, kernel = candidates[pos]
+        system = krr_system(k, ridge, recycle=system)
+        return fit_krr_comparator(train, ridge, kernel, system=system)
+
+    rmses = _fold_rmses(
+        _fold_splits(data.n_samples, spec), [kernel for _, kernel in candidates],
+        lambda idx: Dataset(data.features[idx], data.targets[idx]), data.features, data.targets,
+        prepare, fit_one, KRRModel.predict,
+    )
+    best = _best(rmses)
+    if best < 0:
         raise TuningError("no kernel ridge candidate fitted on every fold")
-    return best
+    return candidates[best]

@@ -234,6 +234,7 @@ def test_benchmark_without_datasets_is_usage_error(tmp_path):
     (["--eps", -0.5], "eps must be finite and non-negative, got -0.5"),
     (["--folds", 1], "folds must be at least 2, got 1"),
     (["--grid-lo", 3, "--grid-hi", 1], "exponent ranges must satisfy lo <= hi"),
+    (["--kernel", "linear", "--pin-mu", 0.5], "pin_mu needs kernel 'rbf', got None"),
 ])
 def test_benchmark_bad_grid_flags_are_usage_errors(tmp_path, capsys, flags, message):
     out = tmp_path / "bench"
@@ -351,10 +352,15 @@ def test_config_drives_a_command_and_flags_win(tmp_path):
     assert load_csv(tmp_path / "b" / "train.csv").n_samples == 9
 
 
-def test_config_unknown_key_is_usage_error(tmp_path):
+def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     write_config({"fn": "f1", "bogus": "1"}, cfg)
     assert run(["synth", "--config", cfg]) == 1
+    # ``mu`` is a fit key; benchmark tunes the width or takes --pin-mu.
+    write_config({"synthetic": "f2", "mu": "0.001", "out": str(tmp_path / "o")}, cfg)
+    assert run(["benchmark", "--config", cfg]) == 1
+    assert "unknown config key 'mu' for command 'benchmark'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_repeated_config_key_is_usage_error(tmp_path, capsys):
@@ -365,9 +371,13 @@ def test_repeated_config_key_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_usage_errors_exit_1():
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["synth", "--fn", "f9"]) == 1
     assert run(["frobnicate"]) == 1
+    capsys.readouterr()
+    assert run(["benchmark", "--synthetic", "f2", "--mu", 0.001, "--out", tmp_path / "o"]) == 1
+    assert "unrecognized arguments: --mu" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_model_file_is_valid_json(f2_run):

@@ -921,7 +921,7 @@ def test_krr_shared_gram_gives_the_same_model_bitwise():
     k = krr_gram(data, kernel)
     before = k.copy()
     for ridge in (2.0**-6, 1.0, 2.0**5):
-        shared = fit_krr_comparator(data, ridge, kernel, k=k)
+        shared = fit_krr_comparator(data, ridge, kernel, system=krr_system(k, ridge))
         assert np.array_equal(shared.coef, fit_krr_comparator(data, ridge, kernel).coef)
     assert np.array_equal(k, before)
 
@@ -944,7 +944,7 @@ def test_krr_systems_moved_through_folds_give_fresh_coefficients_bitwise(threads
                 before = None if system is None else system.matrix
                 system = krr_system(k, ridge, recycle=system)
                 assert (system.matrix is before) == (before is not None and before.shape[0] == n)
-                shared = fit_krr_comparator(data, ridge, kernel, k=k, system=system)
+                shared = fit_krr_comparator(data, ridge, kernel, system=system)
                 assert np.array_equal(shared.coef, fit_krr_comparator(data, ridge, kernel).coef)
 
 

@@ -387,9 +387,9 @@ def test_tune_krr_builds_one_gram_per_fold_and_width(monkeypatch):
         grams.append(kernel)
         return original_gram(data, kernel, out=out)
 
-    def counting_fit(data, ridge, kernel, norm=None, k=None, system=None):
+    def counting_fit(data, ridge, kernel, norm=None, system=None):
         fits.append((ridge, kernel))
-        return original_fit(data, ridge, kernel, norm=norm, k=k, system=system)
+        return original_fit(data, ridge, kernel, norm=norm, system=system)
 
     original_cross_gram = tuning.cross_gram
     cross_grams = []
@@ -422,11 +422,11 @@ def test_tune_krr_skips_a_candidate_that_failed_a_fold(monkeypatch):
     original = tuning.fit_krr_comparator
     calls = []
 
-    def fail_worst_fold(train, ridge, kernel, norm=None, k=None, system=None):
+    def fail_worst_fold(train, ridge, kernel, norm=None, system=None):
         calls.append((ridge, kernel))
         if (ridge, kernel) == winner and calls.count(winner) == worst + 1:
             raise NumericalError("forced failure")
-        return original(train, ridge, kernel, norm=norm, k=k, system=system)
+        return original(train, ridge, kernel, norm=norm, system=system)
 
     monkeypatch.setattr(tuning, "fit_krr_comparator", fail_worst_fold)
     assert tune_krr(data, KRR_GRID) != winner
@@ -444,11 +444,11 @@ def test_tune_krr_on_a_linear_grid_searches_the_ridge_only(monkeypatch):
         grams.append(kernel)
         return original_gram(train, kernel, out=out)
 
-    def failing_fit(train, ridge, kernel, norm=None, k=None, system=None):
+    def failing_fit(train, ridge, kernel, norm=None, system=None):
         fits.append((ridge, kernel))
         if (ridge, kernel) in failing and fits.count((ridge, kernel)) == spec.folds:
             raise NumericalError("forced failure")
-        return original_fit(train, ridge, kernel, norm=norm, k=k, system=system)
+        return original_fit(train, ridge, kernel, norm=norm, system=system)
 
     monkeypatch.setattr(tuning, "krr_gram", counting_gram)
     monkeypatch.setattr(tuning, "fit_krr_comparator", failing_fit)
@@ -476,6 +476,39 @@ def test_tune_krr_returns_fittable_choice():
     assert kernel.kind == "rbf"
 
 
+def test_both_searches_score_the_same_folds_and_break_ties_toward_the_earliest(monkeypatch):
+    pi = small_pi_dataset(seed=17, m=33)
+    spec = GridSpec(c_lo=-2, c_hi=2, mu_lo=-3, mu_hi=-1, kernel="rbf",
+                    folds=3, seed=6, max_candidates=12)
+    scored = []
+
+    def zero_prediction_evaluate(y, y_hat):
+        # Every candidate of a fold gets the same RMSE, so every mean ties.
+        scored[-1].append(np.array(y))
+        return evaluate(y, np.zeros_like(y_hat))
+
+    def folds_in_order(arrays):
+        return [a for i, a in enumerate(arrays) if i == 0 or not np.array_equal(a, arrays[i - 1])]
+
+    monkeypatch.setattr(tuning, "evaluate", zero_prediction_evaluate)
+    scored.append([])
+    result = cross_validate(pi, spec)
+    scored.append([])
+    choice = tune_krr(Dataset(pi.regular, pi.targets), spec)
+
+    folds = kfold_indices(pi.n_samples, spec.folds, spec.seed)
+    expected = [pi.targets[val_idx] for val_idx in folds]
+    for calls in scored:  # the twin model's, then the comparator's
+        assert len(folds_in_order(calls)) == spec.folds
+        for got, want in zip(folds_in_order(calls), expected):
+            np.testing.assert_array_equal(got, want)
+    eligible = [r for r in result.table if r.failed_folds == 0]
+    assert result.table[0] in eligible and len(eligible) > 1
+    assert len({r.mean_rmse for r in eligible}) == 1
+    assert result.best_index == 0
+    assert choice == (2.0**-2, KernelSpec("rbf", mu=2.0**-3))
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError, match="lo <= hi"):
         GridSpec(c_lo=2, c_hi=1)
@@ -489,4 +522,7 @@ def test_grid_spec_validation():
     for bad in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps must be finite and non-negative"):
             GridSpec(eps=bad)
+    for kernel in (None, "linear"):
+        with pytest.raises(ValueError, match=f"pin_mu needs kernel 'rbf', got {kernel!r}"):
+            GridSpec(kernel=kernel, pin_mu=0.5)
     assert GridSpec(eps=0.0, pin_mu=0.5).pin_mu == 0.5
