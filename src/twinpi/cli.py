@@ -236,13 +236,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _benchmark_one_repeat(args, grid: GridSpec, spec_kind: str, spec_value: str, seed_r: int):
+#: The errors that fail one dataset's benchmark row, not the whole run.
+_ROW_ERRORS = (DataError, NumericalError, TuningError, ValueError)
+
+
+def _benchmark_one_repeat(
+    args, grid: GridSpec, spec_kind: str, spec_value: str, seed_r: int, twin: bool = True
+):
     """One tune->fit->eval pass of ``grid`` at seed ``seed_r``.
 
-    Returns (twin metrics, krr metrics or None, timings). The timings map
-    each phase to its seconds: the twin model's tune, fit and predict; data
-    prep (generate or load, split, normalize, privileged split); and, with
-    ``--with-krr``, krr (tune, fit and predict of the comparator).
+    Returns (twin metrics, krr metrics, timings). Each model's metrics are
+    None when it did not run (the twin model without ``twin``, the comparator
+    without ``--with-krr``), or the error that stopped it: the comparator is
+    tuned and scored after the twin model whether or not that failed. The
+    timings map each phase to its seconds: the twin model's tune, fit and
+    predict; data prep (generate or load, split, normalize, privileged
+    split); and, with ``--with-krr``, krr (tune, fit and predict of the
+    comparator).
     """
     start = time.perf_counter()
     if spec_kind == "synthetic":
@@ -262,34 +272,52 @@ def _benchmark_one_repeat(args, grid: GridSpec, spec_kind: str, spec_value: str,
     pi = split_privileged(train_n)
     data_time = time.perf_counter() - start
     grid = replace(grid, seed=seed_r)
-    start = time.perf_counter()
-    tuned = cross_validate(pi, grid)
-    tune_time = time.perf_counter() - start
-
-    start = time.perf_counter()
-    model = fit(pi, tuned.best, norm=stats)
-    fit_time = time.perf_counter() - start
-
     d_regular = pi.regular.shape[1]
     x_test = test_raw.features[:, :d_regular]
     y_true = stats.transform_targets(test_raw.targets)
-    start = time.perf_counter()
-    y_hat = predict(model, x_test)
-    predict_time = time.perf_counter() - start
-    twin_metrics = evaluate(y_true, y_hat)
-    timings = {"tune": tune_time, "fit": fit_time, "predict": predict_time,
-               "data prep": data_time}
+
+    timings = {}
+    twin_metrics = None
+    if twin:
+        try:
+            start = time.perf_counter()
+            tuned = cross_validate(pi, grid)
+            timings["tune"] = time.perf_counter() - start
+
+            start = time.perf_counter()
+            model = fit(pi, tuned.best, norm=stats)
+            timings["fit"] = time.perf_counter() - start
+
+            start = time.perf_counter()
+            y_hat = predict(model, x_test)
+            timings["predict"] = time.perf_counter() - start
+            twin_metrics = evaluate(y_true, y_hat)
+        except _ROW_ERRORS as exc:
+            twin_metrics = exc
+    timings["data prep"] = data_time
 
     krr_metrics = None
     if args.with_krr:
-        start = time.perf_counter()
-        regular_train = Dataset(train_n.features[:, :d_regular], train_n.targets)
-        ridge, kernel = tune_krr(regular_train, grid)
-        krr = fit_krr_comparator(regular_train, ridge, kernel, norm=stats)
-        krr_predictions = krr.predict(x_test)
-        timings["krr"] = time.perf_counter() - start
-        krr_metrics = evaluate(y_true, krr_predictions)
+        try:
+            start = time.perf_counter()
+            regular_train = Dataset(train_n.features[:, :d_regular], train_n.targets)
+            ridge, kernel = tune_krr(regular_train, grid)
+            krr = fit_krr_comparator(regular_train, ridge, kernel, norm=stats)
+            krr_predictions = krr.predict(x_test)
+            timings["krr"] = time.perf_counter() - start
+            krr_metrics = evaluate(y_true, krr_predictions)
+        except _ROW_ERRORS as exc:
+            krr_metrics = exc
     return twin_metrics, krr_metrics, timings
+
+
+def _averaged_cells(metrics) -> tuple[list[str], float]:
+    """The rmse, sse and sse/sst cells of the mean over repeats, and the mean rmse."""
+    rmse = aggregate_mean([m.rmse for m in metrics])
+    sse = aggregate_mean([m.sse for m in metrics])
+    ratios = [m.sse_over_sst for m in metrics]
+    ratio = None if any(r is None for r in ratios) else aggregate_mean(ratios)
+    return [_fmt(rmse), _fmt(sse), _fmt_ratio(ratio)], rmse
 
 
 def cmd_benchmark(args) -> int:
@@ -321,28 +349,35 @@ def cmd_benchmark(args) -> int:
 
     for index, (kind, value) in enumerate(specs):
         name = value if kind == "synthetic" else Path(value).stem
+        # A failed twin model fails the row with its first error; the
+        # comparator is still scored on every repeat, and fills its cells
+        # when it fitted on all of them.
+        twin_all, krr_all, timings, twin_error = [], [], [], None
         try:
-            twin_all, krr_all, timings = [], [], []
             for repeat in range(args.repeats):
                 seed_r = args.seed + 7919 * index + 101 * repeat
-                twin_met, krr_met, times = _benchmark_one_repeat(args, grid, kind, value, seed_r)
-                twin_all.append(twin_met)
+                twin_met, krr_met, times = _benchmark_one_repeat(
+                    args, grid, kind, value, seed_r, twin=twin_error is None
+                )
+                if isinstance(twin_met, Exception):
+                    twin_error = twin_met
+                    if not args.with_krr:
+                        break
+                elif twin_met is not None:
+                    twin_all.append(twin_met)
+                if isinstance(krr_met, Exception):
+                    raise krr_met
                 if krr_met is not None:
                     krr_all.append(krr_met)
                 timings.append(times)
+            if twin_error is not None:
+                raise twin_error
 
-            def averaged(metrics):
-                rmse = aggregate_mean([m.rmse for m in metrics])
-                sse = aggregate_mean([m.sse for m in metrics])
-                ratios = [m.sse_over_sst for m in metrics]
-                ratio = None if any(r is None for r in ratios) else aggregate_mean(ratios)
-                return rmse, sse, ratio
-
-            twin_rmse, twin_sse, twin_ratio = averaged(twin_all)
-            cells = [name, "ok", _fmt(twin_rmse), _fmt(twin_sse), _fmt_ratio(twin_ratio)]
+            twin_cells, twin_rmse = _averaged_cells(twin_all)
+            cells = [name, "ok", *twin_cells]
             if args.with_krr:
-                krr_rmse, krr_sse, krr_ratio = averaged(krr_all)
-                cells += [_fmt(krr_rmse), _fmt(krr_sse), _fmt_ratio(krr_ratio)]
+                krr_cells, krr_rmse = _averaged_cells(krr_all)
+                cells += krr_cells
             cells.append("")
             rows.append(",".join(cells))
             phases = ", ".join(
@@ -352,9 +387,14 @@ def cmd_benchmark(args) -> int:
             timing_lines.append(f"{name}: {phases} (mean over repeats)")
             print(f"{name}: twin rmse {twin_rmse:.6f}" +
                   (f", krr rmse {krr_rmse:.6f}" if args.with_krr else ""))
-        except (DataError, NumericalError, TuningError, ValueError) as exc:
+        except _ROW_ERRORS as exc:
+            exc = twin_error or exc
             message = str(exc).replace(",", ";").replace("\n", " ")
-            cells = [name, "failed"] + [""] * (len(header) - 3) + [message]
+            cells = [name, "failed", "", "", ""]
+            if args.with_krr:
+                scored = len(krr_all) == args.repeats
+                cells += _averaged_cells(krr_all)[0] if scored else ["", "", ""]
+            cells.append(message)
             rows.append(",".join(cells))
             timing_lines.append(f"{name}: failed")
             print(f"{name}: FAILED ({exc})", file=sys.stderr)

@@ -189,6 +189,8 @@ def _parse_rows(path: str | Path) -> tuple[list[str] | None, list[list[float]]]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:

@@ -49,13 +49,15 @@ call), so the reuse changes memory traffic, never a bit. A warm fold fit
 allocates no m x m array but the KKT gate's own temporaries.
 
 A fit that builds its own workspace drops each product once no solve of the
-fit reads it. With tied parameters it also builds each system in the array
-of a product it replaces: the multiplier matrix is summed in S H's array
-(after Se, He and SHe are kept) and S and H are dropped before its LU; beta
-is solved on the kept factors right after alpha, with any error held until
-the down-side gate has passed; the multiplier system is then dropped and
-G^T G + c1 I is built in G^T G's array. At most five m x m arrays are then
-live at once (G, G*, S, H and S H while they are formed), not seven.
+fit reads it. With tied parameters it also holds each design only while a
+step reads it and builds each system in the array of a product it replaces:
+H is formed and G* dropped, S is formed and G dropped; the multiplier matrix
+is summed in S H's array (after Se, He and SHe are kept) and S and H are
+dropped before its LU; alpha and beta are solved and the multiplier system
+dropped; G is rebuilt and G^T G + c1 I built in G^T G's array for v1 and v2;
+G* is rebuilt for v1*, v2* and the gate. A rebuilt design repeats the same
+floating-point operations, so it holds the same bits. At most three m x m
+arrays are then live at once (a jitter retry adds its own two), not five.
 
 Kernel-mode evaluation (``predict``, ``bound_functions``,
 ``correcting_values`` and ``KRRModel.predict``) forms the cross-Gram between
@@ -72,7 +74,8 @@ A fit is accepted only when its six optimality residuals pass the KKT gate.
 The gate is checked side by side: the down-bound side is solved, recovered
 and checked first, and a down-side rejection raises before the up-bound
 recovery runs, and before any up-bound factorization (a tied fit on its own
-workspace has solved beta on the kept multiplier factors by then).
+workspace has solved beta and v2 on the kept factors by then, and holds
+their errors until the down-side gate has passed).
 """
 
 from __future__ import annotations
@@ -281,8 +284,17 @@ class TrainedModel:
         return self.train_regular.shape[1]
 
 
-def _design(rows: np.ndarray, kernel: KernelSpec | None, out: np.ndarray) -> np.ndarray:
-    """Write [Phi | 1] into ``out``: Phi is ``rows`` (linear) or their self-Gram."""
+def _design_shape(rows: np.ndarray, kernel: KernelSpec | None) -> tuple[int, int]:
+    """Shape of the design [Phi | 1] of ``rows``."""
+    return rows.shape[0], (rows.shape[0] if kernel is not None else rows.shape[1]) + 1
+
+
+def _design(
+    rows: np.ndarray, kernel: KernelSpec | None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Write [Phi | 1] into ``out``, or a new array: Phi is ``rows`` (linear) or their self-Gram."""
+    if out is None:
+        out = np.empty(_design_shape(rows, kernel))
     width = out.shape[1] - 1
     if kernel is None:
         out[:, :width] = rows
@@ -305,17 +317,13 @@ def build_workspace(
     operations as in new arrays, so fits on either workspace are bitwise
     equal.
     """
-    m = data.n_samples
-    shapes = [
-        (m, (m if hp.kernel is not None else rows.shape[1]) + 1)
-        for rows in (data.regular, data.privileged)
-    ]
+    shapes = [_design_shape(rows, hp.kernel) for rows in (data.regular, data.privileged)]
     spare = {} if reuse is None else reuse._recycle()
     if not spare or [spare["G"].shape, spare["G_star"].shape] != shapes:
         spare = {"G": np.empty(shapes[0]), "G_star": np.empty(shapes[1])}
     g = _design(data.regular, hp.kernel, spare.pop("G"))
     g_star = _design(data.privileged, hp.kernel, spare.pop("G_star"))
-    ws = FitWorkspace(G=g, G_star=g_star, ones=np.ones(m))
+    ws = FitWorkspace(G=g, G_star=g_star, ones=np.ones(data.n_samples))
     ws._spare.update(spare)
     return ws
 
@@ -357,8 +365,8 @@ def _solve_multiplier(
 
 def _check_targets(ws: FitWorkspace, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != ws.G.shape[0]:
-        raise ValueError(f"got {y.shape[0]} targets for {ws.G.shape[0]} training rows")
+    if y.shape[0] != ws.ones.shape[0]:
+        raise ValueError(f"got {y.shape[0]} targets for {ws.ones.shape[0]} training rows")
     return y
 
 
@@ -469,6 +477,92 @@ def _linear_row_limit(data: PIDataset, hp: Hyperparams) -> str | None:
     )
 
 
+def _held(
+    solve: Callable[..., np.ndarray], *args
+) -> tuple[np.ndarray | None, NumericalError | None]:
+    """``(solve(*args), None)``, or ``(None, error)`` when it raised NumericalError."""
+    try:
+        return solve(*args), None
+    except NumericalError as exc:
+        return None, exc
+
+
+def _fit_side_by_side(
+    ws: FitWorkspace, y: np.ndarray, hp: Hyperparams, tol: float, own_ws: bool
+) -> tuple[np.ndarray, ...]:
+    """Solve, recover and gate the down side, then the up side.
+
+    On a workspace of the fit's own (``own_ws``), each product and factor
+    entry is dropped once no remaining solve reads it: the up side assembles
+    its own multiplier matrix from S, H and S H after the down-side gate, and
+    builds its own recovery matrix from G^T G unless c4 = c1.
+    """
+    alpha = solve_alpha(ws, y, hp)
+    if own_ws:
+        ws.release("multiplier")
+    v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
+    if own_ws:
+        ws.release("GtG" if hp.c4 == hp.c1 else "recovery")
+    v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
+    _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
+
+    beta = solve_beta(ws, y, hp)
+    if own_ws:
+        ws.release("S", "H", "SH", "multiplier")
+    v2 = _recover(ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
+    v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
+    _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
+    return v1, v2, v1_star, v2_star, alpha, beta
+
+
+def _fit_tied_in_steps(
+    ws: FitWorkspace, data: PIDataset, y: np.ndarray, hp: Hyperparams, tol: float
+) -> tuple[np.ndarray, ...]:
+    """A tied fit, (c4, c5) = (c1, c2), on a fresh workspace no other fit reads.
+
+    Each design is held only by the steps that read it, and rebuilt (the same
+    floating-point operations, so the same bits) when a later step needs it
+    again. So at most three m x m arrays are live at once, besides a jitter
+    retry's own two:
+
+    1. H is formed and G* dropped, then S is formed and G dropped.
+    2. The multiplier matrix is assembled in S H's array (S and H dropped);
+       alpha, then beta on the kept factors. The multiplier system is dropped.
+    3. G is rebuilt and G^T G + c1 I built in G^T G's array; v1, then v2 on
+       the kept factors. The recovery system is dropped.
+    4. G* is rebuilt for v1*, v2* and the two gates.
+
+    An up-side error is held until the down-side gate has passed, so a fit
+    fails with the error and message of a fit on a shared workspace.
+    """
+    ws.H  # each product formed before its design is dropped
+    ws.release("G_star")
+    ws.S
+    ws.release("G")
+    _keep_multiplier_in_sh(ws, hp.c1, hp.c2)
+    alpha = solve_alpha(ws, y, hp)
+    beta, up_error = _held(solve_beta, ws, y, hp)
+    ws.release("multiplier")
+
+    # ``release`` popped each design from the frozen workspace's __dict__;
+    # a rebuilt one is put back the way the dataclass set it.
+    object.__setattr__(ws, "G", _design(data.regular, hp.kernel))
+    _keep_recovery_in_gtg(ws, hp.c1)
+    v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
+    if up_error is None:
+        v2, up_error = _held(_recover, ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
+    ws.release("recovery")
+
+    object.__setattr__(ws, "G_star", _design(data.privileged, hp.kernel))
+    v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
+    _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
+    if up_error is not None:
+        raise up_error
+    v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
+    _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
+    return v1, v2, v1_star, v2_star, alpha, beta
+
+
 def fit(
     data: PIDataset,
     hp: Hyperparams,
@@ -487,11 +581,12 @@ def fit(
     choice whose per-solve checks pass but whose recovered solution violates
     the optimality system fails loudly instead of returning garbage. The gate
     is checked one side at a time, down side first: a down-side rejection
-    raises before the up side factors or recovers anything, so a rejected fit
-    costs about half an accepted one. The message names the side and the
-    residual (stationarity, correcting or feasibility) that failed. A failed
-    linear-variant fit with more training rows than d_regular + d_privileged
-    + 1 also says that the rows exceed the rank of [G, G*].
+    raises before any up-side error, and on a shared workspace before the up
+    side factors or recovers anything, so a rejected fit costs about half an
+    accepted one. The message names the side and the residual (stationarity,
+    correcting or feasibility) that failed. A failed linear-variant fit with
+    more training rows than d_regular + d_privileged + 1 also says that the
+    rows exceed the rank of [G, G*].
 
     ``norm`` is not applied here; training data is expected to be already
     normalized by the caller, and the stats ride along for prediction time.
@@ -499,64 +594,29 @@ def fit(
     ``ws`` lets candidates that share training rows and kernel reuse one
     workspace, its products and its kept factors; it must be
     ``build_workspace(data, hp)``, with or without ``reuse=``, for this
-    ``data`` and ``hp.kernel``. Without it the workspace is built here, and
+    ``data`` and ``hp.kernel``. Without it the workspace is built here and
     each product is dropped as soon as no solve of this fit reads it. With
-    tied parameters, (c4, c5) = (c1, c2), the multiplier matrix is then
-    assembled in S H's array, beta is solved on its kept factors right after
-    alpha (an error it raises waits for the down-side gate, so rejections
-    keep their order and messages), and G^T G + c1 I is built in G^T G's
-    array, so at most five m x m arrays are live at once.
+    tied parameters, (c4, c5) = (c1, c2), the designs are dropped and rebuilt
+    too (see ``_fit_tied_in_steps``), so at most three m x m arrays are live
+    at once. Every schedule returns the same bits and raises the same error.
     """
     own_ws = ws is None
     if own_ws:
         ws = build_workspace(data, hp)
     y = _check_targets(ws, data.targets)
     tol = KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(y))))
-
-    # A workspace built here drops each product and factor entry once no
-    # remaining solve of this fit reads it. With tied parameters, (c4, c5) =
-    # (c1, c2), both sides share one multiplier and one recovery system, so
-    # each is built in the array of a product it replaces and beta is solved
-    # on the kept multiplier factors right after alpha; its error, if any,
-    # waits for the down-side gate. Untied, the up side assembles its own
-    # multiplier matrix from S, H and S H after the down-side gate, and
-    # builds its own recovery matrix from G^T G unless c4 = c1.
-    in_place = own_ws and (hp.c4, hp.c5) == (hp.c1, hp.c2)
     try:
-        if in_place:
-            _keep_multiplier_in_sh(ws, hp.c1, hp.c2)
-        alpha = solve_alpha(ws, y, hp)
-        beta_error = None
-        if in_place:
-            try:
-                beta = solve_beta(ws, y, hp)
-            except NumericalError as exc:
-                beta_error = exc
-            ws.release("multiplier")
-            _keep_recovery_in_gtg(ws, hp.c1)
-        elif own_ws:
-            ws.release("multiplier")
-        v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
-        if own_ws and not in_place:
-            ws.release("GtG" if hp.c4 == hp.c1 else "recovery")
-        v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
-        _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
-
-        if beta_error is not None:
-            raise beta_error
-        if not in_place:
-            beta = solve_beta(ws, y, hp)
-            if own_ws:
-                ws.release("S", "H", "SH", "multiplier")
-        v2 = _recover(ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
-        v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
-        _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
+        if own_ws and (hp.c4, hp.c5) == (hp.c1, hp.c2):
+            weights = _fit_tied_in_steps(ws, data, y, hp, tol)
+        else:
+            weights = _fit_side_by_side(ws, y, hp, tol, own_ws)
     except NumericalError as exc:
         limit = _linear_row_limit(data, hp)
         if limit is None:
             raise
         raise NumericalError(f"{exc}; {limit}") from exc
 
+    v1, v2, v1_star, v2_star, alpha, beta = weights
     return TrainedModel(
         v1=v1,
         v2=v2,

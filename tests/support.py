@@ -5,6 +5,7 @@ import ctypes
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from twinpi.data import PIDataset
 from twinpi.kernels import KernelSpec
@@ -106,3 +107,45 @@ BLAS_THREADS = ("one", "default")
 def at_blas_threads(which):
     """:func:`single_blas_thread` for "one"; the library's own count for "default"."""
     return single_blas_thread() if which == "one" else contextlib.nullcontext()
+
+
+#: Finite numeric CSV cells.
+_CSV_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+#: Numeric CSV cells, finite or not.
+_CSV_FLOATS = st.one_of(
+    _CSV_NUMBERS, st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+)
+#: Any CSV cell: numbers, non-finite spellings, non-numeric words and any text.
+_CSV_CELLS = st.one_of(
+    _CSV_FLOATS,
+    st.sampled_from(["", " ", "x", "y", "1.2.3"]),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=3),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of a CSV file, often malformed.
+
+    Mostly rectangular rows under an optional header, with ragged rows,
+    non-numeric and non-finite cells, blank lines, header-only and empty
+    files among them; sometimes arbitrary bytes, not always UTF-8.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+    n_cols = draw(st.integers(1, 4))
+    cells = draw(st.sampled_from([_CSV_NUMBERS, _CSV_FLOATS, _CSV_CELLS]))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.lists(st.sampled_from(["a", "b", "y", "x1"]),
+                                            min_size=n_cols, max_size=n_cols))))
+    for _ in range(draw(st.integers(0, 6))):
+        width = n_cols if draw(st.integers(0, 5)) else draw(st.integers(1, 5))
+        lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode("utf-8")

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from support import single_blas_thread
+from support import csv_files, single_blas_thread
+import twinpi.cli
 from twinpi.cli import main, read_config, write_config
-from twinpi.data import load_csv
+from twinpi.data import DataError, load_csv
 from twinpi.metrics import evaluate
 from twinpi.model import load_model, predict
+from twinpi.tuning import TuningError
 
 
 def run(args):
@@ -181,6 +186,23 @@ def test_eval_corrupt_model_file_is_a_data_error(f2_run, corrupt, capsys):
     assert err.startswith("data error: model file") and "Traceback" not in err
 
 
+@given(csv_files())
+@settings(max_examples=150, deadline=None)
+def test_fit_on_a_csv_file_load_csv_rejects_is_a_data_error(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(content)
+    try:
+        load_csv(path)
+        return  # accepted files are fitted elsewhere
+    except DataError:
+        pass
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["fit", "--data", path, "--out", path.parent / "out"])
+    assert code == 2
+    assert err.getvalue().startswith("data error: ") and "Traceback" not in err.getvalue()
+
+
 # --------------------------------------------------------------- benchmark
 
 
@@ -222,6 +244,50 @@ def test_benchmark_records_failures_and_continues(tmp_path):
     assert by_name["f2"].split(",")[1] == "ok"
     assert by_name["narrow"].split(",")[1] == "failed"
     assert "insufficient features" in by_name["narrow"]
+
+
+LINEAR_PAST_ROW_LIMIT = ["benchmark", "--synthetic", "f2", "--kernel", "linear", "--n-train", 30,
+                         "--max-candidates", 6, "--with-krr"]
+
+
+def test_benchmark_scores_the_comparator_when_the_twin_model_fails(tmp_path, capsys):
+    # 24 training rows per fold exceed the linear variant's row limit of 6.
+    out = tmp_path / "bench"
+    assert run(LINEAR_PAST_ROW_LIMIT + ["--repeats", 1, "--out", out]) == 0
+    cells = (out / "benchmark.csv").read_text().splitlines()[1].split(",")
+    assert cells[:5] == ["f2", "failed", "", "", ""]
+    assert all(np.isfinite(float(c)) for c in cells[5:8])
+    assert cells[8].startswith("none of the 6 candidates can fit fold 1: ")
+    assert "f2: FAILED (none of the 6 candidates can fit fold 1: " in capsys.readouterr().err
+    assert (out / "timing.txt").read_text() == "f2: failed\n"
+
+
+def test_benchmark_leaves_comparator_cells_empty_unless_every_repeat_fitted(
+    tmp_path, monkeypatch
+):
+    tunes, krr_tunes = [], []
+    cross_validate, tune_krr = twinpi.cli.cross_validate, twinpi.cli.tune_krr
+
+    def counted_cross_validate(*args, **kwargs):
+        tunes.append(args)
+        return cross_validate(*args, **kwargs)
+
+    def failing_second_tune_krr(*args, **kwargs):
+        krr_tunes.append(args)
+        if len(krr_tunes) == 2:
+            raise TuningError("forced comparator failure")
+        return tune_krr(*args, **kwargs)
+
+    monkeypatch.setattr(twinpi.cli, "cross_validate", counted_cross_validate)
+    monkeypatch.setattr(twinpi.cli, "tune_krr", failing_second_tune_krr)
+    out = tmp_path / "bench"
+    assert run(LINEAR_PAST_ROW_LIMIT + ["--repeats", 3, "--out", out]) == 0
+    cells = (out / "benchmark.csv").read_text().splitlines()[1].split(",")
+    # The twin model's first error names the row; it is not tuned again, and
+    # the comparator stops at its own failure.
+    assert cells[:8] == ["f2", "failed", "", "", "", "", "", ""]
+    assert cells[8].startswith("none of the 6 candidates can fit fold 1: ")
+    assert len(tunes) == 1 and len(krr_tunes) == 2
 
 
 def test_benchmark_without_datasets_is_usage_error(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import csv_files
+
 from twinpi.data import (
     DataError,
     Dataset,
@@ -49,6 +51,26 @@ def test_load_csv_non_numeric_cell_names_row_and_column(tmp_path):
     path.write_text("a,b,y\nabc,2,3\n4,5,6\n")
     with pytest.raises(DataError, match="row 1, column 1"):
         load_csv(path, target_column="y")
+
+
+@given(csv_files())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_raises_data_error_or_returns_finite_arrays(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(content)
+    try:
+        ds = load_csv(path)
+    except DataError:
+        return
+    assert ds.n_samples >= 1 and ds.n_features >= 1
+    assert np.all(np.isfinite(ds.features)) and np.all(np.isfinite(ds.targets))
+
+
+def test_load_csv_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xff\xfe1,2\n3,4\n")
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        load_csv(path)
 
 
 def test_load_csv_empty_file(tmp_path):

@@ -206,8 +206,7 @@ def test_kept_factors_follow_the_scalars_of_each_system(monkeypatch):
     assert sorted(ws._factors) == ["multiplier", "recovery"]  # one entry per kind
 
 
-@pytest.mark.parametrize("c4", [1.0, 2.0])
-def test_fit_local_workspace_drops_the_products_it_no_longer_needs(monkeypatch, c4):
+def test_fit_local_workspace_drops_the_products_it_no_longer_needs(monkeypatch):
     built = []
     original = twinpi.model.build_workspace
 
@@ -218,12 +217,12 @@ def test_fit_local_workspace_drops_the_products_it_no_longer_needs(monkeypatch, 
     monkeypatch.setattr(twinpi.model, "build_workspace", keep)
     rng = np.random.default_rng(23)
     data, _ = draw_well_posed(rng, "rbf")
-    hp = Hyperparams(c4=c4, kernel=KernelSpec("rbf", mu=0.7))
+    hp = Hyperparams(c4=2.0, kernel=KernelSpec("rbf", mu=0.7))  # untied
     fitted = fit(data, hp)
     (ws,) = built
     kept = set(ws.__dict__)
     assert not kept & {"S", "H", "SH"}
-    assert ("GtG" in kept) == (c4 != hp.c1)  # read by the up side's own recovery matrix
+    assert "GtG" in kept  # read by the up side's own recovery matrix
     assert {"Se", "He", "SHe"} <= kept
     assert list(ws._factors) == ["recovery"]
     plain = fit(data, hp, ws=original(data, hp))
@@ -559,14 +558,15 @@ def test_down_side_rejection_skips_up_side_solve(monkeypatch):
     with pytest.raises(NumericalError, match=rejected):
         fit(data, Hyperparams(c4=2.0, kernel=KernelSpec("rbf", mu=4.0)))
     assert calls == []
-    # Tied, beta is solved on the kept multiplier factors before the down-side
-    # gate, but the up side factors nothing and recovers nothing.
+    # Tied, beta and v2 are solved on the kept multiplier and recovery factors
+    # before the down-side gate, but the up side factors nothing.
     del recoveries[:], factored[:]
     with pytest.raises(NumericalError, match=rejected):
         fit(data, Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
     m = data.n_samples
     assert factored == [(m, m), (m + 1, m + 1)]  # one multiplier, one recovery
-    assert [context for *_, context in recoveries] == ["down-bound recovery"]
+    assert [context for *_, context in recoveries] == ["down-bound recovery",
+                                                       "up-bound recovery"]
     assert len(calls) == 1
     del calls[:]
     fit(REF_DATA, REF_HP)
@@ -597,7 +597,7 @@ def test_held_up_side_error_waits_for_the_down_side_gate(monkeypatch):
     assert [context for *_, context in recoveries] == ["down-bound recovery"]
 
 
-def test_tied_fit_on_its_own_workspace_peaks_at_five_square_arrays():
+def test_tied_fit_on_its_own_workspace_peaks_at_three_square_arrays():
     m = 300
     train, _ = gen_synthetic("f2", m, 10, NoiseSpec("uniform_pm02", seed=1), seed=0)
     data = split_privileged(min_max_normalize(train)[0])
@@ -609,12 +609,64 @@ def test_tied_fit_on_its_own_workspace_peaks_at_five_square_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.2 * m * m * 8  # G, G*, S, H and S H, or the gate's G*^T copy
+    # G, G* and H; S, H and S H; G, the recovery matrix and its LU; or G, G*
+    # and the gate's G*^T copy.
+    assert peak <= 3.2 * m * (m + 1) * 8
     shared = fit(data, hp, ws=build_workspace(data, hp))
     for name in ("v1", "v2", "v1_star", "v2_star"):
         assert np.array_equal(getattr(own, name), getattr(shared, name)), name
     assert np.array_equal(own.duals.alpha, shared.duals.alpha)
     assert np.array_equal(own.duals.beta, shared.duals.beta)
+
+
+def _tied_grid(kernel):
+    for c1, c2, c3 in itertools.product((2.0**-3, 1.0, 8.0), (0.25, 4.0), (0.5, 2.0)):
+        yield Hyperparams(c1=c1, c2=c2, c3=c3, c4=c1, c5=c2, c6=2.0 * c3, eps2=0.02,
+                          kernel=kernel)
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("duplicated", [0, 2])
+@pytest.mark.parametrize("kernel", [KernelSpec("rbf", mu=0.1), None], ids=["rbf", "linear"])
+def test_tied_one_off_fit_equals_a_shared_workspace_fit_bitwise(
+    kernel, duplicated, threads, monkeypatch
+):
+    # The linear variant needs m <= d_regular + d_privileged + 1 = 6 to fit at all.
+    data = _uniform_data(np.random.default_rng(41), 40 if kernel else 6, duplicated)
+    jitters = []
+    jittered = twinpi.linalg._plus_diagonal
+    monkeypatch.setattr(
+        twinpi.linalg, "_plus_diagonal",
+        lambda a, c, out=None: jitters.append(c) or jittered(a, c, out=out),
+    )
+    with at_blas_threads(threads):
+        own, shared = [], []
+        for hp in _tied_grid(kernel):
+            own += _fit_outcomes(data, [hp], None)
+            shared += _fit_outcomes(data, [hp], build_workspace(data, hp))
+    _assert_same_outcomes(own, shared)
+    assert bool(jitters) == bool(duplicated)  # repeated rows force the jitter retry
+    assert any(not isinstance(o, str) for o in own)
+
+
+def test_down_side_rejection_outranks_a_failed_tied_up_side_recovery(monkeypatch):
+    recover = twinpi.model._recover
+
+    def failing_up_side(ws, c, rhs, context):
+        if context == "up-bound recovery":
+            raise NumericalError("up-bound recovery: forced failure")
+        return recover(ws, c, rhs, context)
+
+    monkeypatch.setattr(twinpi.model, "_recover", failing_up_side)
+    data, hp = _clustered_data(), Hyperparams(kernel=KernelSpec("rbf", mu=4.0))
+    (own,) = _fit_outcomes(data, [hp], None)
+    (shared,) = _fit_outcomes(data, [hp], build_workspace(data, hp))
+    assert own.startswith("fit rejected: down-bound feasibility optimality residual")
+    assert own == shared
+    # When the down side passes, the held up-side error surfaces.
+    data, hp = REF_DATA, REF_HP
+    assert (hp.c4, hp.c5) == (hp.c1, hp.c2)
+    assert _fit_outcomes(data, [hp], None) == ["up-bound recovery: forced failure"]
 
 
 # ----------------------------------------------------------- predictions
