@@ -73,6 +73,8 @@ def read_config(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise UsageError(f"config {path} is not UTF-8 text") from None
     out: dict[str, str] = {}
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -49,12 +49,16 @@ def gram(
     """Pairwise kernel matrix with entry (i, j) = K(rows_a[i], rows_b[j]).
 
     The output is allocated once and filled one block of ``rows_a`` at a
-    time. Each block starts from zeros and adds one feature column's term
-    per step, ``(a_ik - b_jk)**2`` (rbf) or ``a_ik * b_jk`` (linear), so every
-    entry is a left-to-right sum over columns. That makes ``gram(a, b).T``
-    bitwise equal to ``gram(b, a)`` and gives the rbf self-Gram an exact unit
-    diagonal. An rbf block is then scaled by ``-1 / (2 mu^2)`` and
-    exponentiated in place.
+    time. Each block adds one feature column's term per step,
+    ``(a_ik - b_jk)**2`` (rbf) or ``a_ik * b_jk`` (linear), so every entry is
+    a left-to-right sum over columns: bitwise the sum started from zeros.
+    An rbf block starts from its first column's term, which equals
+    ``0.0 + term`` because every rbf term is >= 0; a linear block starts
+    from zeros, because a linear term may be -0.0 and ``0.0 + -0.0`` is
+    +0.0. A block with no feature columns is zero-filled. The column-order
+    sum makes ``gram(a, b).T`` bitwise equal to ``gram(b, a)`` and gives
+    the rbf self-Gram an exact unit diagonal. An rbf block is then scaled
+    by ``-1 / (2 mu^2)`` and exponentiated in place.
 
     ``out``, an n_a x n_b float64 array, receives the result instead of a
     new one. It may be a strided view, such as the first m columns of a
@@ -80,18 +84,22 @@ def gram(
     b_cols = np.ascontiguousarray(b.T)
     step = max(1, _BLOCK_ENTRIES // max(n_b, 1))
     scratch = np.empty((min(step, n_a), n_b))
+    zero_start = spec.kind == "linear" or not len(b_cols)
     for start in range(0, n_a, step):
         acc = out[start:start + step]
-        term = scratch[: acc.shape[0]]
-        acc.fill(0.0)
+        if zero_start:
+            acc.fill(0.0)
         for k, b_k in enumerate(b_cols):
             a_k = a[start:start + step, k:k + 1]
+            into_acc = k == 0 and not zero_start
+            term = acc if into_acc else scratch[: acc.shape[0]]
             if spec.kind == "linear":
                 np.multiply(a_k, b_k, out=term)
             else:
                 np.subtract(a_k, b_k, out=term)
                 np.square(term, out=term)
-            acc += term
+            if not into_acc:
+                acc += term
         if spec.kind == "rbf":
             acc /= -(2.0 * spec.mu**2)
             np.exp(acc, out=acc)

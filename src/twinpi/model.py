@@ -945,6 +945,8 @@ def load_model(path: str | Path) -> TrainedModel:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"model file {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

@@ -189,6 +189,8 @@ def load_score_csv(path: str | Path, direction: str = "lower_better") -> ScoreTa
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     rows = [r for r in rows if r and any(c.strip() for c in r)]
     if len(rows) < 3:
         raise DataError(f"{path}: a score table needs a header and at least 2 data rows")

@@ -186,6 +186,16 @@ def test_eval_corrupt_model_file_is_a_data_error(f2_run, corrupt, capsys):
     assert err.startswith("data error: model file") and "Traceback" not in err
 
 
+def test_eval_model_file_that_is_not_utf8_is_a_data_error(f2_run, tmp_path, capsys):
+    data_dir, _ = f2_run
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert run(["eval", "--model", path, "--data", data_dir / "test.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: model file {path} is not UTF-8 text")
+
+
 @given(csv_files())
 @settings(max_examples=150, deadline=None)
 def test_fit_on_a_csv_file_load_csv_rejects_is_a_data_error(tmp_path_factory, content):
@@ -379,6 +389,13 @@ def test_stats_malformed_table_is_data_error(tmp_path):
     assert run(["stats", "--scores", scores]) == 2
 
 
+def test_stats_scores_that_are_not_utf8_are_a_data_error(tmp_path, capsys):
+    scores = tmp_path / "bad.csv"
+    scores.write_bytes(b"dataset,a,b\nd1,1.0,\xff\nd2,1.0,2.0\n")
+    assert run(["stats", "--scores", scores]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {scores}: not UTF-8 text")
+
+
 # ------------------------------------------------------------------ bounds
 
 
@@ -427,6 +444,13 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     assert run(["benchmark", "--config", cfg]) == 1
     assert "unknown config key 'mu' for command 'benchmark'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"fn = f1\nout = \xff\n")
+    assert run(["synth", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"usage error: config {cfg} is not UTF-8 text\n"
 
 
 def test_repeated_config_key_is_usage_error(tmp_path, capsys):

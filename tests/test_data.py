@@ -1,12 +1,16 @@
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from support import csv_files
 
+from twinpi import data as data_module
 from twinpi.data import (
     DataError,
     Dataset,
@@ -103,14 +107,179 @@ def test_load_csv_servo_shaped_file(tmp_path):
     assert ds.n_features == 2
 
 
-def test_csv_round_trip_exact(tmp_path):
-    rng = np.random.default_rng(1)
-    ds = Dataset(rng.normal(size=(9, 3)), rng.normal(size=9))
-    path = tmp_path / "rt.csv"
-    save_csv(ds, path)
+def reference_parse_rows(path):
+    """The cell-by-cell reader ``_parse_rows`` ran before it parsed in bulk."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise DataError(f"{path}: file is empty")
+
+    first_cells = [c.strip() for c in lines[0].split(",")]
+    try:
+        [float(c) for c in first_cells]
+        header = None
+        data_lines = lines
+    except ValueError:
+        header = first_cells
+        data_lines = lines[1:]
+    if not data_lines:
+        raise DataError(f"{path}: no data rows")
+
+    n_cols = len(data_lines[0].split(","))
+    rows = []
+    for i, line in enumerate(data_lines, start=1):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != n_cols:
+            raise DataError(f"{path}: row {i} has {len(cells)} columns, expected {n_cols}")
+        row = []
+        for j, cell in enumerate(cells, start=1):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric value {cell!r} at row {i}, column {j}"
+                ) from None
+        rows.append(row)
+    if header is not None and len(header) != n_cols:
+        raise DataError(f"{path}: header has {len(header)} columns, data rows have {n_cols}")
+    return header, np.asarray(rows, dtype=float)
+
+
+def bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def read_outcome(load, path):
+    """What ``load(path)`` gives, compared bit for bit: arrays, header or error."""
+    try:
+        got = load(path)
+    except DataError as exc:
+        return "DataError", str(exc)
+    if isinstance(got, Dataset):
+        return bits(got.features), bits(got.targets), got.feature_names
+    return bits(got)
+
+
+def assert_reads_like_the_reference(path):
+    for load in (load_csv, load_series):
+        got = read_outcome(load, path)
+        with mock.patch.object(data_module, "_parse_rows", reference_parse_rows):
+            want = read_outcome(load, path)
+        assert got == want
+
+
+@given(csv_files(), st.sampled_from([1, 2, data_module._CSV_BLOCK_ROWS]))
+@settings(max_examples=300, deadline=None)
+def test_csv_readers_match_the_cell_by_cell_reference(tmp_path_factory, content, block_rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(content)
+    with mock.patch.object(data_module, "_CSV_BLOCK_ROWS", block_rows):
+        assert_reads_like_the_reference(path)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("a,b,y\n1,x,3\n4,5\n", "non-numeric value 'x' at row 1, column 2"),
+        ("a,b,y\n1,2,3\n4,5\n7,x,9\n", "row 2 has 2 columns, expected 3"),
+        ("a,b,y\n1,2,3\n4,5,6,\n7,x,9\n", "row 2 has 4 columns, expected 3"),
+        ("a,b,y\n1,2,3\n4, x ,6\n7,8\n", "non-numeric value 'x' at row 2, column 2"),
+        ("a,b,y\n", "no data rows"),
+        ("a,b\n1,2,3\n", "header has 2 columns, data rows have 3"),
+        (" 1 , 2\t,3 \n\t4,  5,6\n", None),
+        ("a , b,y\r\n1,2,3\r\n4,5,6\r\n", None),
+        ("1,2,3\n\n   \n4,5,6\n\t\n", None),
+        ("1,-0.0,3\n1e-320,5e-324,6e16\n", None),
+        ("1\x1f,2,3\n4,5,\x1f6\n", None),
+    ],
+    ids=["non-numeric-then-ragged", "ragged-then-non-numeric", "trailing-comma",
+         "padded-non-numeric", "header-only", "header-width", "padded-cells", "crlf",
+         "blank-lines", "signed-zero-and-subnormals", "unit-separator-padding"],
+)
+def test_csv_readers_match_the_reference_on_edge_files(tmp_path, text, error):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_reads_like_the_reference(path)
+    if error is None:
+        load_csv(path)
+    else:
+        with pytest.raises(DataError, match=error):
+            load_csv(path)
+
+
+def reference_csv_bytes(dataset):
+    """The file ``save_csv`` wrote when it formatted one ``repr(float(v))`` per cell."""
+    names = dataset.feature_names or tuple(
+        f"x{j + 1}" for j in range(dataset.n_features)
+    )
+    lines = [",".join(list(names) + ["y"])]
+    for row, y in zip(dataset.features, dataset.targets):
+        lines.append(",".join(repr(float(v)) for v in row) + "," + repr(float(y)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+#: Float64 cells for the writer: any finite float, plus -0.0, subnormals,
+#: integral values and the points where ``repr`` switches to exponent form.
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1e-05, 9.999999999999999e-06, 1.0000000000000001e-05, -1e-05, 0.0001,
+        1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16, 1e15, 1e17,
+    ]),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+@st.composite
+def csv_datasets(draw):
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    features = draw(hnp.arrays(np.float64, (m, d), elements=_CELLS))
+    targets = draw(hnp.arrays(np.float64, m, elements=_CELLS))
+    names = tuple(f"c{j}" for j in range(d)) if draw(st.booleans()) else None
+    return Dataset(features, targets, names)
+
+
+@given(csv_datasets(), st.sampled_from([1, 5, data_module._CSV_BLOCK_ROWS]))
+@settings(max_examples=200, deadline=None)
+def test_save_csv_writes_the_bytes_of_a_per_cell_repr(tmp_path_factory, dataset, block_rows):
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    with mock.patch.object(data_module, "_CSV_BLOCK_ROWS", block_rows):
+        save_csv(dataset, path)
+    assert path.read_bytes() == reference_csv_bytes(dataset)
+
+
+def test_csv_bytes_and_values_across_row_blocks(tmp_path):
+    rng = np.random.default_rng(2)
+    m = 2 * data_module._CSV_BLOCK_ROWS + 3
+    features = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 18, size=(m, 3))
+    features[::7, 1] = -0.0
+    dataset = Dataset(features, rng.normal(size=m), ("a", "b", "c"))
+    path = tmp_path / "out.csv"
+    save_csv(dataset, path)
+    assert path.read_bytes() == reference_csv_bytes(dataset)
+    assert_reads_like_the_reference(path)
     back = load_csv(path)
-    np.testing.assert_array_equal(back.features, ds.features)
-    np.testing.assert_array_equal(back.targets, ds.targets)
+    assert bits(back.features) == bits(dataset.features)
+    assert bits(back.targets) == bits(dataset.targets)
+
+
+@given(csv_datasets())
+@settings(max_examples=200, deadline=None)
+def test_csv_round_trip_exact(tmp_path_factory, dataset):
+    path = tmp_path_factory.mktemp("csv") / "rt.csv"
+    save_csv(dataset, path)
+    back = load_csv(path)
+    assert bits(back.features) == bits(dataset.features)
+    assert bits(back.targets) == bits(dataset.targets)
+    assert back.feature_names == (dataset.feature_names or
+                                  tuple(f"x{j + 1}" for j in range(dataset.n_features)))
 
 
 def test_load_series_single_column(tmp_path):

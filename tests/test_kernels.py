@@ -19,6 +19,25 @@ def broadcast_gram(a, b, spec):
     return np.exp(-d2 / (2.0 * spec.mu**2))
 
 
+def sequential_gram(a, b, spec):
+    """Reference: each entry a zero-started left-to-right sum over feature columns."""
+    acc = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        if spec.kind == "linear":
+            acc += np.multiply(a[:, k:k + 1], b[:, k])
+        else:
+            acc += np.square(np.subtract(a[:, k:k + 1], b[:, k]))
+    if spec.kind == "rbf":
+        acc /= -(2.0 * spec.mu**2)
+        np.exp(acc, out=acc)
+    return acc
+
+
+def bitwise_equal(x, y):
+    """Equal bit for bit, so -0.0 differs from +0.0."""
+    return x.shape == y.shape and np.ascontiguousarray(x).tobytes() == y.tobytes()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown kernel kind"):
         KernelSpec("poly")
@@ -123,6 +142,31 @@ def test_gram_matches_broadcast_to_rounding_for_long_rows(d, monkeypatch):
     np.testing.assert_array_equal(np.diag(gram(a, a, rbf)), np.ones(333))
 
 
+@pytest.mark.parametrize("d", range(13))
+def test_gram_equals_the_zero_started_sum_bitwise(d, monkeypatch):
+    # 4 rows per block against 77 columns, the last block ragged; zeros in
+    # the rows give -0.0 linear terms and +0.0 rbf terms
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4 * 77)
+    rng = np.random.default_rng(40 + d)
+    a, b = rng.normal(size=(333, d)), rng.normal(size=(77, d))
+    a[::5, : d // 2] = 0.0
+    b[::3, d // 2:] = -0.0
+    for spec in (KernelSpec("linear"), KernelSpec("rbf", mu=0.9)):
+        assert bitwise_equal(gram(a, b, spec), sequential_gram(a, b, spec))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_linear_gram_keeps_positive_zero_when_every_product_is_negative_zero(d):
+    # 0.0 * -x is -0.0, and the zero-started sum turns it into +0.0
+    zeros = np.zeros((3, d))
+    negative = -np.arange(1.0, 5.0 * d + 1.0).reshape(5, d)
+    linear = KernelSpec("linear")
+    for a, b in ((zeros, negative), (negative, zeros)):
+        k = gram(a, b, linear)
+        assert not np.signbit(k).any()
+        assert bitwise_equal(k, sequential_gram(a, b, linear))
+
+
 def test_gram_without_feature_columns():
     a, b = np.empty((4, 0)), np.empty((3, 0))
     np.testing.assert_array_equal(gram(a, b, KernelSpec("rbf", mu=0.5)), np.ones((4, 3)))
@@ -141,6 +185,7 @@ def test_gram_into_a_design_view_equals_a_fresh_gram_bitwise(threads, kind, m):
         got = gram(rows, rows, spec, out=g[:, :m])
         assert np.shares_memory(got, g)
         assert np.array_equal(g[:, :m], gram(rows, rows, spec))
+        assert bitwise_equal(g[:, :m], sequential_gram(rows, rows, spec))
         assert np.isnan(g[:, m]).all()
         cross = np.empty((2 * m, m))
         gram(np.vstack([rows, rows * 0.5]), rows, spec, out=cross)
