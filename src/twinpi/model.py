@@ -48,16 +48,20 @@ the same in any layout, and a product into ``out=`` makes the same BLAS
 call), so the reuse changes memory traffic, never a bit. A warm fold fit
 allocates no m x m array but the KKT gate's own temporaries.
 
-A fit that builds its own workspace drops each product once no solve of the
-fit reads it. With tied parameters it also holds each design only while a
-step reads it and builds each system in the array of a product it replaces:
-H is formed and G* dropped, S is formed and G dropped; the multiplier matrix
-is summed in S H's array (after Se, He and SHe are kept) and S and H are
-dropped before its LU; alpha and beta are solved and the multiplier system
-dropped; G is rebuilt and G^T G + c1 I built in G^T G's array for v1 and v2;
-G* is rebuilt for v1*, v2* and the gate. A rebuilt design repeats the same
-floating-point operations, so it holds the same bits. At most three m x m
-arrays are then live at once (a jitter retry adds its own two), not five.
+Each owner of a workspace has one schedule. A fit on a shared workspace
+keeps every product and factor entry for the fits after it. A fit that
+builds its own workspace runs in steps and holds each design only while a
+step reads it, and builds each system in the array of a product it
+replaces: H is formed and G* dropped, S is formed and G dropped; with
+untied parameters alpha is solved first on a multiplier matrix of its own,
+which is dropped; the (c4, c5) multiplier matrix is summed in S H's array
+(after Se, He and SHe are kept) and S and H are dropped before its LU;
+alpha (when tied) and beta are solved and the multiplier system dropped; G
+is rebuilt and G^T G + c1 I built in G^T G's array for v1 and, when
+c4 = c1, v2; G* is rebuilt for v1*, v2* and the gate. A rebuilt design
+repeats the same floating-point operations, so it holds the same bits. At
+most three m x m arrays are then live at once with tied parameters and
+five untied (a jitter retry adds its own two).
 
 Kernel-mode evaluation (``predict``, ``bound_functions``,
 ``correcting_values`` and ``KRRModel.predict``) forms the cross-Gram between
@@ -72,10 +76,10 @@ multiplied in the same blocks, so the predictions keep every bit.
 
 A fit is accepted only when its six optimality residuals pass the KKT gate.
 The gate is checked side by side: the down-bound side is solved, recovered
-and checked first, and a down-side rejection raises before the up-bound
-recovery runs, and before any up-bound factorization (a tied fit on its own
-workspace has solved beta and v2 on the kept factors by then, and holds
-their errors until the down-side gate has passed).
+and checked first, and a down-side rejection raises before any up-bound
+error. On a shared workspace it raises before the up-bound side factors or
+recovers anything; a fit on its own workspace has solved beta and v2 by
+then, and holds their errors until the down-side gate has passed.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -132,7 +136,7 @@ class Hyperparams:
 _PRODUCTS = ("S", "H", "SH", "Se", "He", "SHe", "GtG")
 
 
-@dataclass(frozen=True)
+@dataclass
 class FitWorkspace:
     """Augmented design matrices shared by the two training problems.
 
@@ -239,24 +243,10 @@ class KKTResiduals:
     up_feasibility: float
 
     def max_residual(self) -> float:
-        return max(
-            self.down_stationarity,
-            self.down_correcting,
-            self.down_feasibility,
-            self.up_stationarity,
-            self.up_correcting,
-            self.up_feasibility,
-        )
+        return max(self.as_dict().values())
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "down_stationarity": self.down_stationarity,
-            "down_correcting": self.down_correcting,
-            "down_feasibility": self.down_feasibility,
-            "up_stationarity": self.up_stationarity,
-            "up_correcting": self.up_correcting,
-            "up_feasibility": self.up_feasibility,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -488,49 +478,45 @@ def _held(
 
 
 def _fit_side_by_side(
-    ws: FitWorkspace, y: np.ndarray, hp: Hyperparams, tol: float, own_ws: bool
+    ws: FitWorkspace, y: np.ndarray, hp: Hyperparams, tol: float
 ) -> tuple[np.ndarray, ...]:
-    """Solve, recover and gate the down side, then the up side.
+    """Solve, recover and gate the down side, then the up side, on a shared workspace.
 
-    On a workspace of the fit's own (``own_ws``), each product and factor
-    entry is dropped once no remaining solve reads it: the up side assembles
-    its own multiplier matrix from S, H and S H after the down-side gate, and
-    builds its own recovery matrix from G^T G unless c4 = c1.
+    Every product and factor entry is kept for the fits that share ``ws``.
     """
     alpha = solve_alpha(ws, y, hp)
-    if own_ws:
-        ws.release("multiplier")
     v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
-    if own_ws:
-        ws.release("GtG" if hp.c4 == hp.c1 else "recovery")
     v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
     _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
 
     beta = solve_beta(ws, y, hp)
-    if own_ws:
-        ws.release("S", "H", "SH", "multiplier")
     v2 = _recover(ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
     v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
     _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
     return v1, v2, v1_star, v2_star, alpha, beta
 
 
-def _fit_tied_in_steps(
+def _fit_in_steps(
     ws: FitWorkspace, data: PIDataset, y: np.ndarray, hp: Hyperparams, tol: float
 ) -> tuple[np.ndarray, ...]:
-    """A tied fit, (c4, c5) = (c1, c2), on a fresh workspace no other fit reads.
+    """A fit on a fresh workspace no other fit reads.
 
     Each design is held only by the steps that read it, and rebuilt (the same
     floating-point operations, so the same bits) when a later step needs it
-    again. So at most three m x m arrays are live at once, besides a jitter
+    again. So at most three m x m arrays are live at once with tied
+    parameters, (c4, c5) = (c1, c2), and five untied, besides a jitter
     retry's own two:
 
     1. H is formed and G* dropped, then S is formed and G dropped.
-    2. The multiplier matrix is assembled in S H's array (S and H dropped);
-       alpha, then beta on the kept factors. The multiplier system is dropped.
-    3. G is rebuilt and G^T G + c1 I built in G^T G's array; v1, then v2 on
-       the kept factors. The recovery system is dropped.
-    4. G* is rebuilt for v1*, v2* and the two gates.
+    2. Untied, alpha is solved on a multiplier matrix in an array of its
+       own, which is then dropped.
+    3. The (c4, c5) multiplier matrix is assembled in S H's array (S and H
+       dropped); tied, alpha is solved on it, then beta. The multiplier
+       system is dropped.
+    4. G is rebuilt and G^T G + c1 I built in G^T G's array for v1; v2 is
+       solved on the kept factors, or with c4 != c1 on G^T G + c4 I built
+       in the same array from a recomputed G^T G. Both are dropped.
+    5. G* is rebuilt for v1*, v2* and the two gates.
 
     An up-side error is held until the down-side gate has passed, so a fit
     fails with the error and message of a fit on a shared workspace.
@@ -539,21 +525,24 @@ def _fit_tied_in_steps(
     ws.release("G_star")
     ws.S
     ws.release("G")
-    _keep_multiplier_in_sh(ws, hp.c1, hp.c2)
-    alpha = solve_alpha(ws, y, hp)
+    tied = (hp.c4, hp.c5) == (hp.c1, hp.c2)
+    if not tied:
+        alpha = solve_alpha(ws, y, hp)
+        ws.release("multiplier")
+    _keep_multiplier_in_sh(ws, hp.c4, hp.c5)
+    if tied:
+        alpha = solve_alpha(ws, y, hp)
     beta, up_error = _held(solve_beta, ws, y, hp)
     ws.release("multiplier")
 
-    # ``release`` popped each design from the frozen workspace's __dict__;
-    # a rebuilt one is put back the way the dataclass set it.
-    object.__setattr__(ws, "G", _design(data.regular, hp.kernel))
+    ws.G = _design(data.regular, hp.kernel)
     _keep_recovery_in_gtg(ws, hp.c1)
     v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
     if up_error is None:
         v2, up_error = _held(_recover, ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
-    ws.release("recovery")
+    ws.release("recovery", "GtG")
 
-    object.__setattr__(ws, "G_star", _design(data.privileged, hp.kernel))
+    ws.G_star = _design(data.privileged, hp.kernel)
     v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
     _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
     if up_error is not None:
@@ -582,11 +571,11 @@ def fit(
     the optimality system fails loudly instead of returning garbage. The gate
     is checked one side at a time, down side first: a down-side rejection
     raises before any up-side error, and on a shared workspace before the up
-    side factors or recovers anything, so a rejected fit costs about half an
-    accepted one. The message names the side and the residual (stationarity,
-    correcting or feasibility) that failed. A failed linear-variant fit with
-    more training rows than d_regular + d_privileged + 1 also says that the
-    rows exceed the rank of [G, G*].
+    side factors or recovers anything, so a rejected fit there costs about
+    half an accepted one. The message names the side and the residual
+    (stationarity, correcting or feasibility) that failed. A failed
+    linear-variant fit with more training rows than d_regular +
+    d_privileged + 1 also says that the rows exceed the rank of [G, G*].
 
     ``norm`` is not applied here; training data is expected to be already
     normalized by the caller, and the stats ride along for prediction time.
@@ -594,11 +583,12 @@ def fit(
     ``ws`` lets candidates that share training rows and kernel reuse one
     workspace, its products and its kept factors; it must be
     ``build_workspace(data, hp)``, with or without ``reuse=``, for this
-    ``data`` and ``hp.kernel``. Without it the workspace is built here and
-    each product is dropped as soon as no solve of this fit reads it. With
-    tied parameters, (c4, c5) = (c1, c2), the designs are dropped and rebuilt
-    too (see ``_fit_tied_in_steps``), so at most three m x m arrays are live
-    at once. Every schedule returns the same bits and raises the same error.
+    ``data`` and ``hp.kernel``; the fit then keeps everything it computed in
+    it. Without it the workspace is built here and the fit runs in steps (see
+    ``_fit_in_steps``): each product and design is dropped as soon as no
+    later step reads it, so at most three m x m arrays are live at once with
+    tied parameters, (c4, c5) = (c1, c2), and five untied. Both schedules
+    return the same bits and raise the same error.
     """
     own_ws = ws is None
     if own_ws:
@@ -606,10 +596,10 @@ def fit(
     y = _check_targets(ws, data.targets)
     tol = KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(y))))
     try:
-        if own_ws and (hp.c4, hp.c5) == (hp.c1, hp.c2):
-            weights = _fit_tied_in_steps(ws, data, y, hp, tol)
+        if own_ws:
+            weights = _fit_in_steps(ws, data, y, hp, tol)
         else:
-            weights = _fit_side_by_side(ws, y, hp, tol, own_ws)
+            weights = _fit_side_by_side(ws, y, hp, tol)
     except NumericalError as exc:
         limit = _linear_row_limit(data, hp)
         if limit is None:

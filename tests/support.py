@@ -2,6 +2,7 @@
 
 import contextlib
 import ctypes
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -149,3 +150,64 @@ def csv_files(draw):
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode("utf-8")
+
+
+#: Kernels of a drawn fit step: rbf widths 2^-6 .. 2^6, the linear kernel,
+#: or None for the linear variant.
+_STEP_KERNELS = st.one_of(
+    st.integers(-6, 6).map(lambda k: KernelSpec("rbf", mu=2.0**k)),
+    st.just(KernelSpec("linear")),
+    st.none(),
+)
+
+
+def _drawn_rows(draw):
+    """Training rows drawn freely: 3-24 rows, 1-3 columns per channel, some rows repeated.
+
+    Repeated rows make every multiplier matrix singular, so its solve needs
+    the jitter retry.
+    """
+    m = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(m, draw(st.integers(1, 3))))
+    x_star = rng.normal(size=(m, draw(st.integers(1, 3))))
+    y = rng.normal(size=m)
+    repeated = draw(st.integers(0, (m - 1) // 2)) if draw(st.booleans()) else 0
+    for a in (x, x_star, y):
+        a[1 + repeated:1 + 2 * repeated] = a[1:1 + repeated]
+    return PIDataset(x, x_star, y)
+
+
+def _drawn_candidate(draw, hp):
+    """``hp`` with each c halved, kept or doubled, and tied or untied."""
+    cs = {f"c{i}": getattr(hp, f"c{i}") * 2.0 ** draw(st.integers(-1, 1)) for i in range(1, 7)}
+    if draw(st.booleans()):
+        cs.update(c4=cs["c1"], c5=cs["c2"])
+    return replace(hp, **cs)
+
+
+@st.composite
+def fit_chains(draw):
+    """Steps of a workspace chain: (training rows, 1-4 candidates of one kernel) each.
+
+    Most steps start from a :func:`draw_well_posed` instance, so many fits
+    pass the KKT gate. The rest draw rows (:func:`_drawn_rows`), kernel and
+    c1..c6 freely, and keep the previous step's rows under a new kernel now
+    and then, as cross-validation does for each kernel width; most of those
+    fits fail at a solve or at the gate.
+    """
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 2)):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            data, hp = draw_well_posed(rng, draw(st.sampled_from(["rbf", "linear", None])))
+        else:
+            if steps and draw(st.booleans()):
+                data = steps[-1][0]
+            else:
+                data = _drawn_rows(draw)
+            cs = {f"c{i}": 2.0 ** draw(st.integers(-4, 4)) for i in range(1, 7)}
+            hp = Hyperparams(**cs, kernel=draw(_STEP_KERNELS))
+        candidates = [_drawn_candidate(draw, hp) for _ in range(draw(st.integers(1, 4)))]
+        steps.append((data, candidates))
+    return steps

@@ -8,7 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from support import BLAS_THREADS, at_blas_threads, draw_well_posed, rel_err, single_blas_thread
+from hypothesis import given, settings
+
+from support import (
+    BLAS_THREADS,
+    at_blas_threads,
+    draw_well_posed,
+    fit_chains,
+    rel_err,
+    single_blas_thread,
+)
 
 from twinpi.data import (
     DataError,
@@ -221,10 +230,9 @@ def test_fit_local_workspace_drops_the_products_it_no_longer_needs(monkeypatch):
     fitted = fit(data, hp)
     (ws,) = built
     kept = set(ws.__dict__)
-    assert not kept & {"S", "H", "SH"}
-    assert "GtG" in kept  # read by the up side's own recovery matrix
+    assert not kept & {"S", "H", "SH", "GtG"}
     assert {"Se", "He", "SHe"} <= kept
-    assert list(ws._factors) == ["recovery"]
+    assert not ws._factors
     plain = fit(data, hp, ws=original(data, hp))
     assert np.array_equal(fitted.v1, plain.v1) and np.array_equal(fitted.v2, plain.v2)
 
@@ -331,6 +339,27 @@ def test_workspace_moved_through_widths_fits_like_a_fresh_one_bitwise(threads, m
             fitted += sum(not isinstance(o, str) for o in moved)
             failed += sum(isinstance(o, str) for o in moved)
     assert fitted >= 15 and failed >= 1
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@given(chain=fit_chains())
+@settings(max_examples=200, deadline=None)
+def test_reused_shared_and_one_off_fits_agree_bitwise(threads, chain):
+    """A fit on a workspace moved along a chain of steps equals a fresh one.
+
+    Each candidate is fitted three ways: on the step's workspace, built with
+    ``reuse=`` from the previous step's and shared by the step's candidates;
+    one-off (``fit`` runs in steps); and on a fresh workspace of its own that
+    ``fit`` shares. All three return the same bits or raise the same message.
+    """
+    ws = None
+    with at_blas_threads(threads):
+        for data, candidates in chain:
+            ws = build_workspace(data, candidates[0], reuse=ws)
+            moved = _fit_outcomes(data, candidates, ws)
+            for hp, outcome in zip(candidates, moved):
+                for fresh in (None, build_workspace(data, hp)):  # one-off, then shared
+                    _assert_same_outcomes([outcome], _fit_outcomes(data, [hp], fresh))
 
 
 def test_moving_a_workspace_to_a_new_width_allocates_no_square_array(monkeypatch):
@@ -554,10 +583,17 @@ def test_down_side_rejection_skips_up_side_solve(monkeypatch):
     factored = _counting_factorizations(monkeypatch)
     rejected = r"fit rejected: down-bound \w+ optimality residual"
     data = _clustered_data()
-    # Untied, the up side has a system of its own: a down-side rejection never solves it.
-    with pytest.raises(NumericalError, match=rejected):
-        fit(data, Hyperparams(c4=2.0, kernel=KernelSpec("rbf", mu=4.0)))
+    # Untied on a shared workspace, the up side has a system of its own: a
+    # down-side rejection never solves it. A one-off fit solves it first, and
+    # is rejected with the same message.
+    untied = Hyperparams(c4=2.0, kernel=KernelSpec("rbf", mu=4.0))
+    with pytest.raises(NumericalError, match=rejected) as shared:
+        fit(data, untied, ws=build_workspace(data, untied))
     assert calls == []
+    with pytest.raises(NumericalError, match=rejected) as own:
+        fit(data, untied)
+    assert str(own.value) == str(shared.value)
+    del calls[:]
     # Tied, beta and v2 are solved on the kept multiplier and recovery factors
     # before the down-side gate, but the up side factors nothing.
     del recoveries[:], factored[:]
@@ -601,22 +637,24 @@ def test_tied_fit_on_its_own_workspace_peaks_at_three_square_arrays():
     m = 300
     train, _ = gen_synthetic("f2", m, 10, NoiseSpec("uniform_pm02", seed=1), seed=0)
     data = split_privileged(min_max_normalize(train)[0])
-    hp = Hyperparams(c1=0.5, c2=4.0, c3=2.0, c4=0.5, c5=4.0, c6=2.0,
-                     kernel=KernelSpec("rbf", mu=0.0625))
-    tracemalloc.start()
-    try:
-        own = fit(data, hp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # G, G* and H; S, H and S H; G, the recovery matrix and its LU; or G, G*
-    # and the gate's G*^T copy.
-    assert peak <= 3.2 * m * (m + 1) * 8
-    shared = fit(data, hp, ws=build_workspace(data, hp))
-    for name in ("v1", "v2", "v1_star", "v2_star"):
-        assert np.array_equal(getattr(own, name), getattr(shared, name)), name
-    assert np.array_equal(own.duals.alpha, shared.duals.alpha)
-    assert np.array_equal(own.duals.beta, shared.duals.beta)
+    # Tied: G, G* and H; S, H and S H; G, the recovery matrix and its LU; or
+    # G, G* and the gate's G*^T copy. Untied, five: S, H, S H, alpha's own
+    # multiplier matrix and its LU.
+    for c4, bound in [(0.5, 3.2), (0.25, 5.2)]:
+        hp = Hyperparams(c1=0.5, c2=4.0, c3=2.0, c4=c4, c5=4.0, c6=2.0,
+                         kernel=KernelSpec("rbf", mu=0.0625))
+        tracemalloc.start()
+        try:
+            own = fit(data, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * m * (m + 1) * 8, c4
+        shared = fit(data, hp, ws=build_workspace(data, hp))
+        for name in ("v1", "v2", "v1_star", "v2_star"):
+            assert np.array_equal(getattr(own, name), getattr(shared, name)), name
+        assert np.array_equal(own.duals.alpha, shared.duals.alpha)
+        assert np.array_equal(own.duals.beta, shared.duals.beta)
 
 
 def _tied_grid(kernel):
