@@ -41,7 +41,9 @@ from .model import (
     Hyperparams,
     fit,
     fit_krr_comparator,
-    kkt_residuals,
+    # Not called here: ``fit`` returns the residuals its gate checked. It stays
+    # bound because perfbench's traced mode wraps it as its ``model.kkt`` layer.
+    kkt_residuals,  # noqa: F401
     load_model,
     predict,
     save_model,
@@ -182,7 +184,7 @@ def cmd_fit(args) -> int:
     model_path = out_dir / "model.json"
     save_model(model, model_path)
 
-    res = kkt_residuals(model, pi)
+    res = model.kkt
     threshold = KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(pi.targets))))
     report = dict(res.as_dict())
     report["max_residual"] = res.max_residual()

@@ -257,6 +257,9 @@ class TrainedModel:
     rows are retained only so the correcting functions can be inspected.
     ``norm`` carries the training normalization when the surrounding
     pipeline attached one, in which case prediction inputs are raw.
+    ``kkt`` holds the six residuals the fit's gate checked; it is not
+    saved, so a loaded model has None, and ``dataclasses.replace`` copies
+    it unchanged, so it describes the fitted weights only.
     """
 
     v1: np.ndarray
@@ -268,6 +271,7 @@ class TrainedModel:
     train_regular: np.ndarray
     train_privileged: np.ndarray
     norm: NormStats | None = None
+    kkt: KKTResiduals | None = field(default=None, compare=False)
 
     @property
     def n_regular_features(self) -> int:
@@ -439,8 +443,10 @@ def _keep_recovery_in_gtg(ws: FitWorkspace, c: float) -> None:
     ws.factors("recovery", c, lambda out: _plus_diagonal(gtg, c, out=gtg))
 
 
-def _gate(side: str, residuals: tuple[float, float, float], tol: float) -> None:
-    """Raise NumericalError unless every residual of one side is at most ``tol``."""
+def _gate(
+    side: str, residuals: tuple[float, float, float], tol: float
+) -> tuple[float, float, float]:
+    """Return one side's ``residuals`` if each is at most ``tol``; else raise NumericalError."""
     failed = [i for i, r in enumerate(residuals) if not r <= tol]
     if failed:
         worst = max(failed, key=lambda i: residuals[i])
@@ -449,6 +455,7 @@ def _gate(side: str, residuals: tuple[float, float, float], tol: float) -> None:
             f"{residuals[worst]:.3e} exceeds {tol:.3e}; the multiplier system is too "
             f"ill-conditioned for these hyperparameters"
         )
+    return residuals
 
 
 def _linear_row_limit(data: PIDataset, hp: Hyperparams) -> str | None:
@@ -479,27 +486,28 @@ def _held(
 
 def _fit_side_by_side(
     ws: FitWorkspace, y: np.ndarray, hp: Hyperparams, tol: float
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray | KKTResiduals, ...]:
     """Solve, recover and gate the down side, then the up side, on a shared workspace.
 
     Every product and factor entry is kept for the fits that share ``ws``.
+    Returns v1, v2, v1*, v2*, alpha, beta and the residuals the gates checked.
     """
     alpha = solve_alpha(ws, y, hp)
     v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
     v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
-    _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
+    down = _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
 
     beta = solve_beta(ws, y, hp)
     v2 = _recover(ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
     v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
-    _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
-    return v1, v2, v1_star, v2_star, alpha, beta
+    up = _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
+    return v1, v2, v1_star, v2_star, alpha, beta, KKTResiduals(*down, *up)
 
 
 def _fit_in_steps(
     ws: FitWorkspace, data: PIDataset, y: np.ndarray, hp: Hyperparams, tol: float
-) -> tuple[np.ndarray, ...]:
-    """A fit on a fresh workspace no other fit reads.
+) -> tuple[np.ndarray | KKTResiduals, ...]:
+    """A fit on a fresh workspace no other fit reads; returns what ``_fit_side_by_side`` does.
 
     Each design is held only by the steps that read it, and rebuilt (the same
     floating-point operations, so the same bits) when a later step needs it
@@ -544,12 +552,12 @@ def _fit_in_steps(
 
     ws.G_star = _design(data.privileged, hp.kernel)
     v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
-    _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
+    down = _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
     if up_error is not None:
         raise up_error
     v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
-    _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
-    return v1, v2, v1_star, v2_star, alpha, beta
+    up = _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
+    return v1, v2, v1_star, v2_star, alpha, beta, KKTResiduals(*down, *up)
 
 
 def fit(
@@ -588,7 +596,8 @@ def fit(
     ``_fit_in_steps``): each product and design is dropped as soon as no
     later step reads it, so at most three m x m arrays are live at once with
     tied parameters, (c4, c5) = (c1, c2), and five untied. Both schedules
-    return the same bits and raise the same error.
+    return the same bits and raise the same error. The returned model's
+    ``kkt`` holds the residuals the gate checked.
     """
     own_ws = ws is None
     if own_ws:
@@ -606,7 +615,7 @@ def fit(
             raise
         raise NumericalError(f"{exc}; {limit}") from exc
 
-    v1, v2, v1_star, v2_star, alpha, beta = weights
+    v1, v2, v1_star, v2_star, alpha, beta, kkt = weights
     return TrainedModel(
         v1=v1,
         v2=v2,
@@ -617,6 +626,7 @@ def fit(
         train_regular=np.array(data.regular, dtype=float),
         train_privileged=np.array(data.privileged, dtype=float),
         norm=norm,
+        kkt=kkt,
     )
 
 
@@ -947,5 +957,5 @@ def load_model(path: str | Path) -> TrainedModel:
         return _model_from_payload(payload)
     except KeyError as exc:
         raise DataError(f"model file {path} lacks key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"model file {path} is malformed: {exc}") from exc

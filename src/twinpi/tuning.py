@@ -46,13 +46,14 @@ least mean wins, the earliest in grid order on ties.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, PIDataset
-from .kernels import KernelSpec
+from .kernels import KernelSpec, rbf_width_error
 from .linalg import NumericalError
 from .metrics import evaluate
 from .model import (
@@ -75,6 +76,11 @@ class TuningError(RuntimeError):
 
 #: Hard cap on materialized candidates when no subsample is requested.
 MAX_MATERIALIZED = 200_000
+
+
+#: The exponents e for which 2.0**e is a positive finite float: above them
+#: 2.0**e raises OverflowError, below them it is 0.0.
+_EXPONENTS = range(sys.float_info.min_exp - sys.float_info.mant_dig, sys.float_info.max_exp)
 
 
 @dataclass(frozen=True)
@@ -102,16 +108,27 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.c_lo > self.c_hi or self.mu_lo > self.mu_hi:
             raise ValueError("exponent ranges must satisfy lo <= hi")
+        if not all(e in _EXPONENTS for e in (self.c_lo, self.c_hi, self.mu_lo, self.mu_hi)):
+            raise ValueError(
+                f"exponent ranges must give 2**e positive and finite: "
+                f"{_EXPONENTS[0]} <= e <= {_EXPONENTS[-1]}"
+            )
         if self.folds < 2:
             raise ValueError(f"folds must be at least 2, got {self.folds}")
         if self.kernel not in (None, "linear", "rbf"):
             raise ValueError(f"kernel must be None, 'linear' or 'rbf', got {self.kernel!r}")
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError("max_candidates must be positive when given")
-        if self.pin_mu is not None and not (self.pin_mu > 0 and math.isfinite(self.pin_mu)):
-            raise ValueError(f"pin_mu must be positive and finite, got {self.pin_mu}")
-        if self.pin_mu is not None and self.kernel != "rbf":
-            raise ValueError(f"pin_mu needs kernel 'rbf', got {self.kernel!r}")
+        if self.pin_mu is not None:
+            error = rbf_width_error(self.pin_mu, "pin_mu")
+            if error is not None:
+                raise ValueError(error)
+            if self.kernel != "rbf":
+                raise ValueError(f"pin_mu needs kernel 'rbf', got {self.kernel!r}")
+        for e in (self.mu_lo, self.mu_hi) if self.has_mu_axis else ():
+            error = rbf_width_error(2.0**e, f"width 2**{e}")
+            if error is not None:
+                raise ValueError(error)
         if not (self.eps >= 0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be finite and non-negative, got {self.eps}")
 

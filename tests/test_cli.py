@@ -84,6 +84,22 @@ def test_fit_single_feature_is_a_data_error(tmp_path):
     assert run(["fit", "--data", path, "--out", tmp_path / "o"]) == 2
 
 
+WIDTH_OUT_OF_RANGE = "is out of range: 2 mu**2 must be a positive finite float"
+
+
+@pytest.mark.parametrize("mu", [1e300, 1e-200])
+def test_fit_with_an_extreme_rbf_width_is_a_configuration_error(tmp_path, capsys, mu):
+    # 1e300**2 overflows and 2 * 1e-200**2 underflows to 0 (a NaN diagonal)
+    data_dir = tmp_path / "data"
+    run(["synth", "--fn", "f2", "--seed", 5, "--out", data_dir])
+    capsys.readouterr()
+    code = run(["fit", "--data", data_dir / "train.csv", "--kernel", "rbf", "--mu", mu,
+                "--out", tmp_path / "o"])
+    assert code == 1
+    assert capsys.readouterr().err == f"configuration error: rbf width mu = {mu} {WIDTH_OUT_OF_RANGE}\n"
+    assert not (tmp_path / "o" / "model.json").exists()
+
+
 def test_fit_numerical_failure_exit_code(tmp_path):
     data_dir = tmp_path / "data"
     run(["synth", "--fn", "f2", "--seed", 11, "--out", data_dir])
@@ -173,8 +189,9 @@ def test_eval_schema_mismatch(f2_run, tmp_path):
         lambda p: [p],
         lambda p: {"format": p["format"]},
         lambda p: dict(p, v1=p["v1"][:-1]),
+        lambda p: dict(p, hyperparams=dict(p["hyperparams"], c1=10**400)),
     ],
-    ids=["json-list", "missing-keys", "short-weights"],
+    ids=["json-list", "missing-keys", "short-weights", "integer-too-large-for-a-float"],
 )
 def test_eval_corrupt_model_file_is_a_data_error(f2_run, corrupt, capsys):
     data_dir, fit_dir = f2_run
@@ -184,6 +201,19 @@ def test_eval_corrupt_model_file_is_a_data_error(f2_run, corrupt, capsys):
     assert run(["eval", "--model", path, "--data", data_dir / "test.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: model file") and "Traceback" not in err
+
+
+def test_eval_model_file_with_an_extreme_rbf_width_is_a_data_error(f2_run, capsys):
+    data_dir, fit_dir = f2_run
+    path = fit_dir / "model.json"
+    payload = json.loads(path.read_text())
+    payload["hyperparams"]["kernel"]["mu"] = 1e300
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["eval", "--model", path, "--data", data_dir / "test.csv"]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: model file {path} is malformed: rbf width mu = 1e+300 {WIDTH_OUT_OF_RANGE}\n"
+    )
 
 
 def test_eval_model_file_that_is_not_utf8_is_a_data_error(f2_run, tmp_path, capsys):
@@ -311,6 +341,12 @@ def test_benchmark_without_datasets_is_usage_error(tmp_path):
     (["--folds", 1], "folds must be at least 2, got 1"),
     (["--grid-lo", 3, "--grid-hi", 1], "exponent ranges must satisfy lo <= hi"),
     (["--kernel", "linear", "--pin-mu", 0.5], "pin_mu needs kernel 'rbf', got None"),
+    (["--pin-mu", 1e300], f"pin_mu = 1e+300 {WIDTH_OUT_OF_RANGE}"),
+    (["--pin-mu", 1e-200], f"pin_mu = 1e-200 {WIDTH_OUT_OF_RANGE}"),
+    (["--grid-lo", 1020, "--grid-hi", 1100],
+     "exponent ranges must give 2**e positive and finite: -1074 <= e <= 1023"),
+    (["--grid-lo", 500, "--grid-hi", 512],
+     f"width 2**512 = 1.3407807929942597e+154 {WIDTH_OUT_OF_RANGE}"),
 ])
 def test_benchmark_bad_grid_flags_are_usage_errors(tmp_path, capsys, flags, message):
     out = tmp_path / "bench"

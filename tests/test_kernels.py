@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from support import BLAS_THREADS, at_blas_threads
 from twinpi import kernels
@@ -46,6 +48,20 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="mu must be positive and finite"):
         KernelSpec("rbf", mu=math.inf)
     KernelSpec("linear", mu=-5.0)  # mu irrelevant for the linear kind
+
+
+def test_spec_rejects_widths_whose_scale_is_not_a_positive_finite_float():
+    # 1e300**2 raises OverflowError; 2 * 1e-200**2 is 0.0, a NaN diagonal
+    for mu in (1e300, 2.0**512, 1e-200, 2.0**-538):
+        with pytest.raises(ValueError, match=r"is out of range: 2 mu\*\*2 must be a positive"):
+            KernelSpec("rbf", mu=mu)
+    rng = np.random.default_rng(6)
+    rows = rng.normal(size=(9, 2))
+    # the widest: entries round to one, the narrowest: the scaled exponent
+    # overflows to -inf off the diagonal, silently, and exp gives 0
+    assert np.array_equal(gram(rows, rows, KernelSpec("rbf", mu=2.0**511)), np.ones((9, 9)))
+    assert np.array_equal(gram(rows, rows, KernelSpec("rbf", mu=2.0**-537)), np.eye(9))
+    assert kernel_eval(rows[0], rows[1], KernelSpec("rbf", mu=2.0**-537)) == 0.0
 
 
 def test_rbf_at_zero_distance_is_exactly_one():
@@ -165,6 +181,46 @@ def test_linear_gram_keeps_positive_zero_when_every_product_is_negative_zero(d):
         k = gram(a, b, linear)
         assert not np.signbit(k).any()
         assert bitwise_equal(k, sequential_gram(a, b, linear))
+
+
+#: Feature values, often signed zeros: a linear term 0.0 * -x is -0.0, so
+#: an entry whose every term is -0.0 shows whether its sum started from zeros.
+_FEATURE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-100.0, 100.0, allow_subnormal=False)
+)
+
+
+@st.composite
+def _gram_inputs(draw):
+    d = draw(st.integers(0, 6))
+    a, b = (
+        draw(hnp.arrays(float, (n, d), elements=_FEATURE_VALUES))
+        for n in (draw(st.integers(0, 70)), draw(st.integers(0, 70)))
+    )
+    kind = draw(st.sampled_from(["linear", "rbf"]))
+    return a, b, KernelSpec(kind, mu=draw(st.floats(0.1, 10.0)))
+
+
+@given(
+    inputs=_gram_inputs(),
+    block_entries=st.sampled_from([1, 7, 64, 4 * 77, 2**15]),
+    into_design=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_gram_equals_the_zero_started_sum_bitwise_for_any_blocking(
+    inputs, block_entries, into_design
+):
+    # any block size, a ragged last block, empty rows or columns, and a fresh
+    # output or a design's first-m-columns view all give the same bits
+    a, b, spec = inputs
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries):
+        if into_design:
+            design = np.full((len(a), len(b) + 1), np.nan)
+            got = gram(a, b, spec, out=design[:, :len(b)])
+            assert np.isnan(design[:, len(b)]).all()
+        else:
+            got = gram(a, b, spec)
+    assert bitwise_equal(got, sequential_gram(a, b, spec))
 
 
 def test_gram_without_feature_columns():

@@ -974,6 +974,23 @@ def test_kkt_residuals_on_reference_instance():
     assert res.max_residual() <= REF_TOL
 
 
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+def test_fit_carries_the_residuals_its_gate_checked(threads, tmp_path):
+    # the gate's residuals are kkt_residuals' bit for bit, on either schedule
+    rng = np.random.default_rng(16)
+    with at_blas_threads(threads):
+        for kind in ("rbf", "linear", None):
+            data, hp = draw_well_posed(rng, kind)
+            for candidate in (hp, replace(hp, c4=hp.c1 * 2)):
+                for ws in (None, build_workspace(data, candidate)):
+                    model = fit(data, candidate, ws=ws)
+                    assert model.kkt == kkt_residuals(model, data)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.kkt is None and "kkt" not in path.read_text(encoding="utf-8")
+
+
 # ------------------------------------------------------- ridge comparator
 
 

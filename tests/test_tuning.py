@@ -526,3 +526,24 @@ def test_grid_spec_validation():
         with pytest.raises(ValueError, match=f"pin_mu needs kernel 'rbf', got {kernel!r}"):
             GridSpec(kernel=kernel, pin_mu=0.5)
     assert GridSpec(eps=0.0, pin_mu=0.5).pin_mu == 0.5
+
+
+def test_grid_spec_rejects_exponents_and_widths_outside_the_float_range():
+    # 2.0**1024 raises OverflowError and 2.0**-1075 is 0.0
+    for lo, hi in ((-1075, 0), (0, 1024), (1020, 1100)):
+        with pytest.raises(ValueError, match=r"2\*\*e positive and finite: -1074 <= e <= 1023"):
+            GridSpec(c_lo=lo, c_hi=hi, mu_lo=0, mu_hi=0)
+        with pytest.raises(ValueError, match=r"2\*\*e positive and finite"):
+            GridSpec(mu_lo=lo, mu_hi=hi, kernel=None)
+    # a width axis needs 2 mu**2 finite and positive: 2**-537 <= mu <= 2**511
+    for lo, hi, bad in ((-538, 0, -538), (0, 512, 512)):
+        with pytest.raises(ValueError, match=rf"width 2\*\*{bad} = .* is out of range"):
+            GridSpec(mu_lo=lo, mu_hi=hi)
+        GridSpec(mu_lo=lo, mu_hi=hi, pin_mu=1.0)  # no width axis to check
+        GridSpec(mu_lo=lo, mu_hi=hi, kernel="linear")
+    for bad in (1e300, 1e-200, 2.0**512, 2.0**-538):
+        with pytest.raises(ValueError, match=r"pin_mu = .* is out of range: 2 mu\*\*2"):
+            GridSpec(pin_mu=bad)
+    edge = GridSpec(c_lo=-1074, c_hi=1023, mu_lo=-537, mu_hi=511)
+    assert (edge.c_lo, edge.c_hi, edge.mu_lo, edge.mu_hi) == (-1074, 1023, -537, 511)
+    assert GridSpec(pin_mu=2.0**-537).pin_mu == 2.0**-537
