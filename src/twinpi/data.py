@@ -7,16 +7,23 @@ seeds, so concurrent use on distinct data is safe.
 
 CSV text moves in blocks of rows, so the per-cell work runs inside the
 interpreter's C loops rather than in Python statements. :func:`save_csv`
-turns each block into Python floats with one ``tolist`` and writes each
-with ``float.__repr__``; :func:`load_csv` and :func:`load_series` convert
-each block of a rectangular file with one ``map(float, ...)``. Both give
-the bytes and values a per-cell loop gives; a file that is not rectangular
-and numeric is walked cell by cell for its first error.
+turns each block into Python floats with one ``tolist``, formats each with
+``float.__repr__`` and writes the block's text to the open file before it
+formats the next, so the whole table's text is never held at once;
+:func:`load_csv` and :func:`load_series` convert each block of a
+rectangular file with one ``map(float, ...)``. Both give the bytes and
+values a per-cell loop gives; a file that is not rectangular and numeric
+is walked cell by cell for its first error.
+
+Files are written by :func:`write_atomically`: into a sibling temporary
+file that is renamed onto the target, so a failed or interrupted write
+leaves the old file (or none) and never a truncated one.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -320,6 +327,27 @@ def load_series(path: str | Path, column: str | int | None = None) -> np.ndarray
     return series
 
 
+def write_atomically(path: str | Path, write: Callable[[Path], None]) -> None:
+    """Replace ``path`` with the file ``write(tmp)`` writes at a sibling path ``tmp``.
+
+    ``tmp`` is renamed onto ``path`` with ``os.replace`` once ``write``
+    returns, so readers see the old file or the new one. If ``write`` or the
+    rename raises, ``tmp`` is removed and the exception propagates, so a
+    location that cannot be written raises ``OSError``. An error that names
+    ``tmp`` alone names ``path`` instead, the file the caller asked for.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and (exc.filename, exc.filename2) == (str(tmp), None):
+            exc.filename = str(path)
+        raise
+
+
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the same CSV schema that :func:`load_csv` reads.
 
@@ -328,17 +356,27 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
     ``_CSV_BLOCK_ROWS`` rows becomes Python floats with one ``tolist``, and
     each row is joined from ``map(repr, row)``: ``tolist`` keeps every
     float64 bit (-0.0 and subnormals too), so the bytes are those of
-    ``repr(float(v))`` per cell.
+    ``repr(float(v))`` per cell. Every line, the last included, ends in a
+    newline, and the text is encoded as ``Path.write_text`` encodes it
+    (UTF-8, the platform's line separator).
+
+    Each block's text is written before the next block is formatted, so
+    past the stacked float64 table the writer holds one block's text, not
+    the file's. The file is replaced atomically (:func:`write_atomically`).
     """
     names = dataset.feature_names or tuple(
         f"x{j + 1}" for j in range(dataset.n_features)
     )
     table = np.column_stack([dataset.features, dataset.targets])
-    lines = [",".join(list(names) + ["y"])]
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS].tolist()
-        lines += [",".join(map(repr, row)) for row in block]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def write(tmp: Path) -> None:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(",".join(list(names) + ["y"]) + "\n")
+            for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+                block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+                out.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
+
+    write_atomically(path, write)
 
 
 def min_max_normalize(data: Dataset) -> tuple[Dataset, NormStats]:

@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -94,7 +93,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, NormStats, PIDataset
+from .data import DataError, Dataset, NormStats, PIDataset, write_atomically
 from .kernels import _BLOCK_ENTRIES, KernelSpec, gram
 from .linalg import LUFactors, NumericalError, _plus_diagonal, solve_checked
 
@@ -843,7 +842,8 @@ MODEL_FORMAT = "twinpi-model-v1"
 def save_model(model: TrainedModel, path: str | Path) -> None:
     """Serialize to JSON with shortest round-trip floats (exact decimal round trip).
 
-    The file is replaced atomically: readers see the old file or the new one.
+    The file is replaced atomically (:func:`~twinpi.data.write_atomically`):
+    readers see the old file or the new one, never a truncated one.
     """
     hp = model.hp
     payload = {
@@ -866,16 +866,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         if model.norm is None
         else {"col_min": model.norm.col_min.tolist(), "col_max": model.norm.col_max.tolist()},
     }
-    path = Path(path)
-    # Write a sibling file and rename it onto the target, so a failed write
-    # never leaves a truncated model file behind.
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    text = json.dumps(payload, indent=1)
+    write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _model_array(payload: dict, key: str, ndim: int) -> np.ndarray:

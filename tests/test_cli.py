@@ -50,6 +50,24 @@ def test_synth_f1_has_two_feature_columns(tmp_path):
     assert header == "x1,x2,y"
 
 
+@pytest.mark.parametrize("command, target", [("synth", "train.csv"), ("fit", "model.json")])
+def test_an_unwritable_output_file_is_a_data_error(tmp_path, capsys, command, target):
+    # a directory where the output file should go: the rename onto it fails
+    data_dir = tmp_path / "data"
+    assert run(["synth", "--fn", "f2", "--seed", 5, "--out", data_dir]) == 0
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    argv = {
+        "synth": ["synth", "--fn", "f2", "--seed", 5, "--out", out],
+        "fit": ["fit", "--data", data_dir / "train.csv", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == [target]
+
+
 # --------------------------------------------------------------------- fit
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -268,6 +269,62 @@ def test_csv_bytes_and_values_across_row_blocks(tmp_path):
     back = load_csv(path)
     assert bits(back.features) == bits(dataset.features)
     assert bits(back.targets) == bits(dataset.targets)
+
+
+def test_failed_csv_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    rng = np.random.default_rng(4)
+    m = 3 * data_module._CSV_BLOCK_ROWS
+    save_csv(Dataset(rng.normal(size=(m, 2)), rng.normal(size=m)), path)
+    before = path.read_bytes()
+    writes = []
+
+    def open_failing_at_the_third_write(*args, **kwargs):
+        # the header and the first block are written, then the disk fills up
+        handle = open(*args, **kwargs)
+        write = handle.write
+
+        def write_or_fail(text):
+            writes.append(len(text))
+            if len(writes) == 3:
+                raise OSError("no space left on device")
+            return write(text)
+
+        handle.write = write_or_fail
+        return handle
+
+    monkeypatch.setattr(data_module, "open", open_failing_at_the_third_write, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_csv(Dataset(rng.normal(size=(m, 2)), rng.normal(size=m)), path)
+    monkeypatch.undo()
+    assert len(writes) == 3
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_save_csv_into_a_missing_directory_names_the_target(tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        save_csv(Dataset(np.ones((2, 2)), np.ones(2)), path)
+    assert info.value.filename == str(path)
+    assert str(path) in str(info.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_csv_holds_one_block_of_text_at_a_time(tmp_path):
+    # 20000 rows of 5 features and a target: the stacked float64 table is
+    # 960 KB, the file's text about 2.4 MB
+    rng = np.random.default_rng(6)
+    dataset = Dataset(rng.uniform(size=(20000, 5)), rng.uniform(size=20000))
+    table_bytes = 20000 * 6 * 8
+    tracemalloc.start()
+    try:
+        save_csv(dataset, tmp_path / "big.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").read_bytes() == reference_csv_bytes(dataset)
+    assert peak < table_bytes + 256 * 1024
 
 
 @given(csv_datasets())

@@ -267,6 +267,23 @@ def test_gram_peak_memory_is_about_the_output():
     assert peak < 1.5 * k.nbytes
 
 
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_gram_into_a_design_view_peaks_within_one_block(kind):
+    # a strided m x (m+1) view is summed in a buffer: buffer and term scratch
+    # share one _BLOCK_ENTRIES block. Besides them gram copies b's columns
+    # once, and numpy's ufunc buffer serves the broadcast feature column.
+    m = 1000
+    rows = np.random.default_rng(9).normal(size=(m, 3))
+    design = np.empty((m, m + 1))
+    tracemalloc.start()
+    try:
+        gram(rows, rows, KernelSpec(kind, mu=0.5), out=design[:, :m])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernels._BLOCK_ENTRIES * 8 + rows.nbytes + np.getbufsize() * 8 + 4096
+
+
 @given(
     scale=st.floats(min_value=0.1, max_value=10.0),
     mu=st.floats(min_value=0.05, max_value=20.0),

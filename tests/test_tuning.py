@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from support import BLAS_THREADS, at_blas_threads
 
 from twinpi.data import Dataset, NoiseSpec, PIDataset, gen_synthetic, min_max_normalize, split_privileged
 import twinpi.tuning as tuning
@@ -204,6 +208,58 @@ def test_cross_validation_matches_per_candidate_fits():
     assert [r.mean_rmse for r in result.table] == means
     best = min((m, i) for i, m in enumerate(means) if None not in naive[i])[1]
     assert result.best_index == best
+
+
+def _bits(rmse):
+    return None if rmse is None else float(rmse).hex()
+
+
+@st.composite
+def _small_searches(draw):
+    """A small dataset and a small grid: rbf (free or pinned width), linear
+    kernel or linear variant, tied or not, the whole grid or a stride of it."""
+    pi = small_pi_dataset(seed=draw(st.integers(0, 2**16)), m=draw(st.integers(6, 20)))
+    kernel = draw(st.sampled_from(["rbf", "rbf", "linear", None]))
+    tie_params = draw(st.booleans())
+    c_lo, mu_lo = draw(st.integers(-3, 2)), draw(st.integers(-5, 1))
+    spec = GridSpec(
+        c_lo=c_lo, c_hi=c_lo + draw(st.integers(0, 1)),
+        mu_lo=mu_lo, mu_hi=mu_lo + draw(st.integers(0, 2)),
+        tie_params=tie_params,
+        eps=draw(st.sampled_from([0.0, 0.01])),
+        folds=draw(st.integers(2, 3)),
+        seed=draw(st.integers(0, 99)),
+        kernel=kernel,
+        pin_mu=draw(st.sampled_from([None, None, 0.125])) if kernel == "rbf" else None,
+        max_candidates=draw(
+            st.one_of(st.none(), st.integers(1, 8)) if tie_params else st.integers(1, 8)
+        ),
+    )
+    return pi, spec
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@given(search=_small_searches())
+@settings(max_examples=100, deadline=None)
+def test_cross_validation_table_equals_fresh_fits_bitwise(threads, search):
+    # every table entry is what one fresh fit and predict per candidate and
+    # fold gives, None where that fit raises, whatever the grid shares
+    pi, spec = search
+    with at_blas_threads(threads):
+        naive = _naive_fold_rmses(pi, spec)
+        try:
+            result = cross_validate(pi, spec)
+        except TuningError:
+            assert all(None in rmses for rmses in naive)
+            return
+    assert [r.hp for r in result.table] == make_grid(spec)
+    assert [tuple(map(_bits, r.fold_rmses)) for r in result.table] == [
+        tuple(map(_bits, rmses)) for rmses in naive
+    ]
+    for r, rmses in zip(result.table, naive):
+        scored = [x for x in rmses if x is not None]
+        assert r.failed_folds == len(rmses) - len(scored)
+        assert _bits(r.mean_rmse) == (_bits(float(np.mean(scored))) if scored else None)
 
 
 def test_cross_validation_builds_one_workspace_per_fold_and_width(monkeypatch):
