@@ -44,7 +44,6 @@ from .model import (
     fit_krr_comparator,
     kkt_residuals,
     krr_gram,
-    krr_system,
     load_model,
     predict,
     save_model,

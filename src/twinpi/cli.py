@@ -32,6 +32,7 @@ from .data import (
     save_csv,
     split_privileged,
     train_test_split,
+    write_text_atomically,
 )
 from .kernels import KernelSpec
 from .linalg import NumericalError
@@ -94,7 +95,7 @@ def read_config(path: str | Path) -> dict[str, str]:
 def write_config(values: dict[str, object], path: str | Path) -> None:
     """Write a flat config/manifest file that :func:`read_config` reads back."""
     lines = [f"{key} = {values[key]}" for key in values]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomically(path, "\n".join(lines) + "\n")
 
 
 def _require(args, name: str) -> str:
@@ -232,8 +233,7 @@ def cmd_eval(args) -> int:
              str(met.n)]
         )
         if not out_path.exists():
-            out_path.write_text("data,model,rmse,sse,sse_over_sst,n\n" + row + "\n",
-                                encoding="utf-8")
+            write_text_atomically(out_path, "data,model,rmse,sse,sse_over_sst,n\n" + row + "\n")
         else:
             with open(out_path, "a", encoding="utf-8") as fh:
                 fh.write(row + "\n")
@@ -404,10 +404,10 @@ def cmd_benchmark(args) -> int:
             print(f"{name}: FAILED ({exc})", file=sys.stderr)
 
     csv_path = out_dir / "benchmark.csv"
-    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_text_atomically(csv_path, "\n".join(rows) + "\n")
     # Wall-clock timings are machine-dependent; kept out of the CSV so the
     # primary output is byte-identical across reruns of one config.
-    (out_dir / "timing.txt").write_text("\n".join(timing_lines) + "\n", encoding="utf-8")
+    write_text_atomically(out_dir / "timing.txt", "\n".join(timing_lines) + "\n")
     for line in timing_lines:
         print(line)
     print(f"wrote {csv_path}")
@@ -423,7 +423,7 @@ def cmd_stats(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(text + "\n", encoding="utf-8")
+        write_text_atomically(out_dir / "report.txt", text + "\n")
         names = report.model_names or tuple(
             f"model{i + 1}" for i in range(report.avg_ranks.shape[0])
         )
@@ -434,11 +434,11 @@ def cmd_stats(args) -> int:
         for ds_name, row in zip(dataset_names, report.rank_matrix):
             rank_lines.append(ds_name + "," + ",".join(_fmt(v) for v in row))
         rank_lines.append("avg_rank," + ",".join(_fmt(v) for v in report.avg_ranks))
-        (out_dir / "ranks.csv").write_text("\n".join(rank_lines) + "\n", encoding="utf-8")
+        write_text_atomically(out_dir / "ranks.csv", "\n".join(rank_lines) + "\n")
         sig_lines = ["model," + ",".join(names)]
         for name, row in zip(names, report.significant):
             sig_lines.append(name + "," + ",".join("yes" if v else "no" for v in row))
-        (out_dir / "significance.csv").write_text("\n".join(sig_lines) + "\n", encoding="utf-8")
+        write_text_atomically(out_dir / "significance.csv", "\n".join(sig_lines) + "\n")
     return EXIT_OK
 
 

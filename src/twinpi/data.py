@@ -17,7 +17,9 @@ is walked cell by cell for its first error.
 
 Files are written by :func:`write_atomically`: into a sibling temporary
 file that is renamed onto the target, so a failed or interrupted write
-leaves the old file (or none) and never a truncated one.
+leaves the old file (or none) and never a truncated one. Every whole-file
+output of the package goes through it, most of them as text through
+:func:`write_text_atomically`.
 """
 
 from __future__ import annotations
@@ -346,6 +348,11 @@ def write_atomically(path: str | Path, write: Callable[[Path], None]) -> None:
         if isinstance(exc, OSError) and (exc.filename, exc.filename2) == (str(tmp), None):
             exc.filename = str(path)
         raise
+
+
+def write_text_atomically(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text``, as ``Path.write_text(text, encoding="utf-8")`` writes it."""
+    write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:

@@ -20,12 +20,12 @@ back to ``np.linalg.solve``.
 
 The factors overwrite a Fortran-ordered copy of the matrix. An
 :class:`LUFactors` built to replace one that is no longer used takes over
-that copy's array (``recycle=``), and the jittered matrix and LU array of
-that system's retry, so a workspace that factors one new system after
-another allocates no new n x n array for it, retries included.
+that copy's array (``recycle=``). Only the twin model's workspace does
+that, because it factors one new system after another for every candidate
+of a fold, so each LU is written into the array of the one before.
 ``np.copyto`` writes the same values ``np.array(matrix, order="F")`` would,
-and ``_plus_diagonal(..., out=)`` the same values as into a new array, so
-the factors are unchanged.
+so the factors are unchanged. A jittered retry is rare (a few dozen per
+grid search) and is built in new arrays.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class LUFactors:
     the factors of :func:`solve_checked`'s jittered retry once one ran.
 
     ``recycle``, a system of the same size that will not be solved again,
-    hands over the array its factors were written into and its jittered
-    retry; this system's factors, and its own retry, overwrite them.
+    hands over the array its factors were written into; this system's
+    factors overwrite it.
     """
 
     def __init__(self, matrix: np.ndarray, recycle: LUFactors | None = None) -> None:
@@ -89,22 +89,13 @@ class LUFactors:
         self._lu: tuple[np.ndarray, np.ndarray] | bool | None = None
         # The Fortran-ordered array the first solve copies the matrix into and factors.
         self._store: np.ndarray | None = None
-        # A dropped system's retry, whose matrix and LU array this one's retry is built into.
-        self._spare_retry: LUFactors | None = None
         if recycle is not None and recycle.matrix.shape == self.matrix.shape:
-            self._store, self._spare_retry = recycle._store, recycle.jittered or recycle._spare_retry
-            recycle._store = recycle._lu = recycle.jittered = recycle._spare_retry = None
+            self._store, recycle._store, recycle._lu = recycle._store, None, None
 
     def with_jitter(self, jitter: float) -> LUFactors:
-        """``jittered``, the system ``matrix + jitter * I``, built on the first call.
-
-        It is written into a dropped system's retry arrays when ``recycle``
-        handed any over.
-        """
+        """``jittered``, the system ``matrix + jitter * I``, built on the first call."""
         if self.jittered is None:
-            spare, self._spare_retry = self._spare_retry, None
-            out = None if spare is None else spare.matrix
-            self.jittered = LUFactors(_plus_diagonal(self.matrix, jitter, out=out), recycle=spare)
+            self.jittered = LUFactors(_plus_diagonal(self.matrix, jitter))
         return self.jittered
 
     def solve(self, b: np.ndarray) -> np.ndarray:

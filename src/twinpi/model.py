@@ -46,7 +46,14 @@ factors it in that system's LU array. Each entry comes from the same
 floating-point operations as in a new array (elementwise operations round
 the same in any layout, and a product into ``out=`` makes the same BLAS
 call), so the reuse changes memory traffic, never a bit. A warm fold fit
-allocates no m x m array but the KKT gate's own temporaries.
+allocates no m x m array but the KKT gate's own temporaries and, rarely, a
+jitter retry's matrix and LU array.
+
+This workspace chain is the only place that recycles arrays, because it is
+where they pay: it holds up to seven m x m arrays and a grid search fits
+several candidates on each. The kernel ridge comparator
+(:func:`fit_krr_comparator`) may share one Gram across ridge candidates, but
+builds each ``K + ridge I`` in a new array.
 
 Each owner of a workspace has one schedule. A fit on a shared workspace
 keeps every product and factor entry for the fits after it. A fit that
@@ -93,7 +100,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, NormStats, PIDataset, write_atomically
+from .data import DataError, Dataset, NormStats, PIDataset, write_text_atomically
 from .kernels import _BLOCK_ENTRIES, KernelSpec, gram
 from .linalg import LUFactors, NumericalError, _plus_diagonal, solve_checked
 
@@ -788,21 +795,9 @@ class KRRModel:
         return _design_products(*_regular_inputs(self, x), self.coef, k=k)[0]
 
 
-def krr_gram(data: Dataset, kernel: KernelSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """The training Gram K of the kernel ridge comparator, written into ``out`` when given."""
-    return gram(data.features, data.features, kernel, out=out)
-
-
-def krr_system(k: np.ndarray, ridge: float, recycle: LUFactors | None = None) -> LUFactors:
-    """The kernel ridge system ``K + ridge I``, factored on its first solve.
-
-    ``recycle``, a system of K's size that will not be solved again, gives up
-    its matrix, its LU array and its jittered retry's arrays, and this system
-    is written into them: the same values as in new arrays, so the same
-    coefficients.
-    """
-    out = recycle.matrix if recycle is not None and recycle.matrix.shape == k.shape else None
-    return LUFactors(_plus_diagonal(k, ridge, out=out), recycle=recycle)
+def krr_gram(data: Dataset, kernel: KernelSpec) -> np.ndarray:
+    """The training Gram K of the kernel ridge comparator."""
+    return gram(data.features, data.features, kernel)
 
 
 def fit_krr_comparator(
@@ -810,22 +805,21 @@ def fit_krr_comparator(
     ridge: float,
     kernel: KernelSpec,
     norm: NormStats | None = None,
-    system: LUFactors | None = None,
+    k: np.ndarray | None = None,
 ) -> KRRModel:
     """Kernel ridge regression baseline on the same (regular) features.
 
-    ``system``, ``krr_system(krr_gram(data, kernel), ridge, recycle=...)``,
-    lets ridge candidates on the same rows and kernel share one Gram and
-    solve one after another in one kept matrix and LU array; it is built
-    here without it.
+    ``k``, ``krr_gram(data, kernel)``, lets ridge candidates on the same rows
+    and kernel share one Gram; it is built here without it. ``K + ridge I``
+    is written into a new array, so ``k`` is left as it was.
     """
     if not ridge > 0:
         raise ValueError(f"ridge must be positive, got {ridge}")
-    if system is None:
-        system = krr_system(krr_gram(data, kernel), ridge)
+    if k is None:
+        k = krr_gram(data, kernel)
     coef = solve_checked(
-        system.matrix, np.asarray(data.targets, dtype=float),
-        context="kernel ridge system", factors=system,
+        _plus_diagonal(k, ridge), np.asarray(data.targets, dtype=float),
+        context="kernel ridge system",
     )
     return KRRModel(
         train_features=np.array(data.features, dtype=float),
@@ -867,7 +861,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         else {"col_min": model.norm.col_min.tolist(), "col_max": model.norm.col_max.tolist()},
     }
     text = json.dumps(payload, indent=1)
-    write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    write_text_atomically(path, text)
 
 
 def _model_array(payload: dict, key: str, ndim: int) -> np.ndarray:

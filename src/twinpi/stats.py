@@ -48,6 +48,10 @@ class ScoreTable:
             raise ValueError("model_names length does not match column count")
         if self.dataset_names is not None and len(self.dataset_names) != n:
             raise ValueError("dataset_names length does not match row count")
+        for what, names in (("model", self.model_names), ("dataset", self.dataset_names)):
+            for i, name in enumerate(names or ()):
+                if name in names[:i]:
+                    raise ValueError(f"{what} name {name!r} appears more than once")
 
     @property
     def n_datasets(self) -> int:

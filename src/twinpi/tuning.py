@@ -16,16 +16,20 @@ width. Each model supplies three steps to it:
   and the comparator its Gram K;
 - a "fit" step, run per candidate on what was prepared: the twin model
   fits on the shared workspace, and consecutive candidates share the LU
-  factors of equal systems; the comparator writes ``K + ridge I`` and its
-  LU array into the arrays of the candidate before and solves it;
+  factors of equal systems; the comparator solves ``K + ridge I`` in new
+  arrays;
 - its ``predict``.
 
-Each prepared workspace or Gram is built in the previous one's arrays
-whenever the training row count is the same (for the twin model: G, G*, S,
-H, S H, G^T G and the kept multiplier and recovery matrices with their LU
-arrays), so moving on to the next width or fold allocates no m x m array.
-The values come from the same floating-point operations as in new arrays,
-so every fold RMSE is bitwise unchanged.
+Only the twin model's workspace chain recycles arrays: each workspace is
+built in the previous one's arrays whenever the training row count is the
+same (G, G*, S, H, S H, G^T G and the kept multiplier and recovery matrices
+with their LU arrays), so moving on to the next width or fold allocates no
+m x m array. That pays, because a workspace holds up to seven m x m arrays
+and every candidate of its group fits on it. The values come from the same
+floating-point operations as in new arrays, so every fold RMSE is bitwise
+unchanged. The comparator's Gram and ridge systems are new arrays:
+recycling them moved no benchmark metric, and no candidate now carries
+state to the next.
 
 A validation prediction reads only the regular channel, so the cross-Gram
 between a fold's validation rows and its training rows depends on the fold
@@ -52,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, PIDataset
+from .data import Dataset, PIDataset, write_text_atomically
 from .kernels import KernelSpec, rbf_width_error
 from .linalg import NumericalError
 from .metrics import evaluate
@@ -64,7 +68,6 @@ from .model import (
     fit,
     fit_krr_comparator,
     krr_gram,
-    krr_system,
     predict,
 )
 from .model import _linear_row_limit
@@ -267,10 +270,11 @@ def _fold_rmses(
 
     Fold by fold and, within a fold, kernel width by kernel width: the
     candidates of one (fold, width) group share what ``prepare(train, pos,
-    previous)`` returns for the group's first candidate ``pos``, built in the
-    arrays of the group before, and ``fit_one(train, pos, prepared)`` fits
-    each of them. The validation cross-Gram is formed at the group's first
-    fitted candidate and read by every ``predict_one(model, x, k=)``.
+    previous)`` returns for the group's first candidate ``pos`` (it may build
+    it in the arrays of ``previous``, the group before's), and
+    ``fit_one(train, pos, prepared)`` fits each of them. The validation
+    cross-Gram is formed at the group's first fitted candidate and read by
+    every ``predict_one(model, x, k=)``.
     """
     groups: dict[KernelSpec | None, list[int]] = {}
     for pos, kernel in enumerate(kernels):
@@ -358,7 +362,7 @@ def export_tune_csv(result: TuneResult, path: str | Path) -> None:
         exps = [str(e) for e in r.exponents] + [""] * (width - len(r.exponents))
         rmse = "" if r.mean_rmse is None else repr(float(r.mean_rmse))
         lines.append(",".join(exps + [rmse, str(r.failed_folds)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomically(path, "\n".join(lines) + "\n")
 
 
 def tune_krr(data: Dataset, spec: GridSpec) -> tuple[float, KernelSpec]:
@@ -366,30 +370,19 @@ def tune_krr(data: Dataset, spec: GridSpec) -> tuple[float, KernelSpec]:
 
     Runs the fold loop and selection rule of :func:`cross_validate` on the
     same exponent ranges, folds and seed, so both models are scored on
-    identical validation rows. A (fold, width) group shares one Gram, and
-    each ridge candidate's system ``K + ridge I`` is written into the arrays
-    of the one before.
+    identical validation rows. A (fold, width) group shares one Gram; each
+    ridge candidate solves its own ``K + ridge I`` in new arrays.
     """
     candidates = [
         (2.0 ** exponents[0], _candidate_kernel(spec, exponents[1:]) or KernelSpec("linear"))
         for exponents in _grid_points(_grid_axes(spec, 1), spec.max_candidates)
     ]
-    system = None
-
-    def prepare(train: Dataset, pos: int, k: np.ndarray | None) -> np.ndarray:
-        same_rows = k is not None and len(k) == train.n_samples
-        return krr_gram(train, candidates[pos][1], out=k if same_rows else None)
-
-    def fit_one(train: Dataset, pos: int, k: np.ndarray) -> KRRModel:
-        nonlocal system
-        ridge, kernel = candidates[pos]
-        system = krr_system(k, ridge, recycle=system)
-        return fit_krr_comparator(train, ridge, kernel, system=system)
-
     rmses = _fold_rmses(
         _fold_splits(data.n_samples, spec), [kernel for _, kernel in candidates],
         lambda idx: Dataset(data.features[idx], data.targets[idx]), data.features, data.targets,
-        prepare, fit_one, KRRModel.predict,
+        lambda train, pos, _: krr_gram(train, candidates[pos][1]),
+        lambda train, pos, k: fit_krr_comparator(train, *candidates[pos], k=k),
+        KRRModel.predict,
     )
     best = _best(rmses)
     if best < 0:

@@ -1,7 +1,10 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +289,28 @@ def test_benchmark_small_run_with_comparator(tmp_path, capsys):
         timing,
     )
     assert timing.strip() in capsys.readouterr().out
+
+
+def test_failed_benchmark_write_keeps_the_previous_csv(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "bench"
+    args = ["benchmark", "--synthetic", "f2", "--repeats", 1, "--n-train", 30,
+            "--n-test", 20, "--max-candidates", 2, "--folds", 2, "--out", out]
+    assert run(args + ["--seed", 1]) == 0
+    before = (out / "benchmark.csv").read_bytes()
+    names = sorted(p.name for p in out.iterdir())
+    write_text = Path.write_text
+
+    def fail_part_way(self, text, *args, **kwargs):
+        if "benchmark.csv" not in self.name:
+            return write_text(self, text, *args, **kwargs)
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    monkeypatch.setattr(Path, "write_text", fail_part_way)
+    assert run(args + ["--seed", 2]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert (out / "benchmark.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == names
 
 
 def test_benchmark_records_failures_and_continues(tmp_path):

@@ -47,7 +47,6 @@ from twinpi.model import (
     fit_krr_comparator,
     kkt_residuals,
     krr_gram,
-    krr_system,
     load_model,
     predict,
     save_model,
@@ -1028,53 +1027,9 @@ def test_krr_shared_gram_gives_the_same_model_bitwise():
     k = krr_gram(data, kernel)
     before = k.copy()
     for ridge in (2.0**-6, 1.0, 2.0**5):
-        shared = fit_krr_comparator(data, ridge, kernel, system=krr_system(k, ridge))
+        shared = fit_krr_comparator(data, ridge, kernel, k=k)
         assert np.array_equal(shared.coef, fit_krr_comparator(data, ridge, kernel).coef)
     assert np.array_equal(k, before)
-
-
-@pytest.mark.parametrize("threads", BLAS_THREADS)
-def test_krr_systems_moved_through_folds_give_fresh_coefficients_bitwise(threads):
-    rng = np.random.default_rng(41)
-    rows = rng.uniform(size=(61, 3))
-    targets = rng.uniform(size=61)
-    k = system = None
-    with at_blas_threads(threads):
-        for n, mu in ((60, 0.5), (60, 0.25), (61, 0.5), (60, 0.5), (60, 0.5)):
-            data = Dataset(rows[:n], targets[:n])
-            kernel = KernelSpec("rbf", mu=mu)
-            before_k = k if k is not None and k.shape[0] == n else None
-            k = krr_gram(data, kernel, out=before_k)
-            assert before_k is None or k is before_k
-            assert np.array_equal(k, krr_gram(data, kernel))
-            for ridge in (2.0**-6, 1.0, 2.0**5):
-                before = None if system is None else system.matrix
-                system = krr_system(k, ridge, recycle=system)
-                assert (system.matrix is before) == (before is not None and before.shape[0] == n)
-                shared = fit_krr_comparator(data, ridge, kernel, system=system)
-                assert np.array_equal(shared.coef, fit_krr_comparator(data, ridge, kernel).coef)
-
-
-def test_moving_krr_to_a_new_fold_allocates_no_square_array():
-    m = 300
-    rng = np.random.default_rng(42)
-    data = Dataset(rng.uniform(size=(m, 3)), rng.uniform(size=m))
-    kernel = KernelSpec("rbf", mu=0.3)
-    k = krr_gram(data, kernel)
-    system = krr_system(k, 1.0)
-    fit_krr_comparator(data, 1.0, kernel, system=system)
-    moved = Dataset(data.features[::-1].copy(), data.targets[::-1].copy())
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        k = krr_gram(moved, kernel, out=k)
-        for ridge in (0.5, 2.0):
-            system = krr_system(k, ridge, recycle=system)
-            fit_krr_comparator(moved, ridge, kernel, system=system)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start < m * m * 8
 
 
 def test_krr_validation():

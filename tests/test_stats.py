@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinpi.cli import main
 from twinpi.data import DataError
 from twinpi.stats import (
     ScoreTable,
@@ -201,6 +203,22 @@ def test_score_csv_malformed(tmp_path):
     path.write_text("dataset,a,b\nd1,x,0.2\nd2,0.4,0.3\n")
     with pytest.raises(DataError, match="non-numeric"):
         load_score_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ds,a,a\nd1,0.1,0.2\nd2,0.4,0.3\n", "model name 'a' appears more than once"),
+    ("ds,a,b\nd1,0.1,0.2\nd1,0.4,0.3\n", "dataset name 'd1' appears more than once"),
+])
+def test_score_csv_with_a_repeated_name_is_a_data_error(tmp_path, capsys, text, message):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_score_csv(path)
+    out = tmp_path / "stats"
+    assert main(["stats", "--scores", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {path}: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_score_table_validation():

@@ -418,7 +418,10 @@ def _krr_data():
 
 
 def _naive_krr_rmses(data, spec):
-    """Validation RMSE per fold of each (ridge, width) candidate, fitted afresh."""
+    """Validation RMSE per fold of each (ridge, width) candidate, fitted afresh.
+
+    None where that fit raises.
+    """
     rmses = {}
     for exponents in tuning._grid_points(tuning._grid_axes(spec, 1), spec.max_candidates):
         ridge = 2.0 ** exponents[0]
@@ -427,9 +430,13 @@ def _naive_krr_rmses(data, spec):
         for val_idx in kfold_indices(data.n_samples, spec.folds, spec.seed):
             mask = np.ones(data.n_samples, dtype=bool)
             mask[val_idx] = False
-            model = fit_krr_comparator(
-                Dataset(data.features[mask], data.targets[mask]), ridge, kernel
-            )
+            try:
+                model = fit_krr_comparator(
+                    Dataset(data.features[mask], data.targets[mask]), ridge, kernel
+                )
+            except NumericalError:
+                rmses[(ridge, kernel)].append(None)
+                continue
             y_hat = model.predict(data.features[val_idx])
             rmses[(ridge, kernel)].append(evaluate(data.targets[val_idx], y_hat).rmse)
     return rmses
@@ -439,13 +446,13 @@ def test_tune_krr_builds_one_gram_per_fold_and_width(monkeypatch):
     grams, fits = [], []
     original_gram, original_fit = tuning.krr_gram, tuning.fit_krr_comparator
 
-    def counting_gram(data, kernel, out=None):
+    def counting_gram(data, kernel):
         grams.append(kernel)
-        return original_gram(data, kernel, out=out)
+        return original_gram(data, kernel)
 
-    def counting_fit(data, ridge, kernel, norm=None, system=None):
+    def counting_fit(data, ridge, kernel, norm=None, k=None):
         fits.append((ridge, kernel))
-        return original_fit(data, ridge, kernel, norm=norm, system=system)
+        return original_fit(data, ridge, kernel, norm=norm, k=k)
 
     original_cross_gram = tuning.cross_gram
     cross_grams = []
@@ -478,11 +485,11 @@ def test_tune_krr_skips_a_candidate_that_failed_a_fold(monkeypatch):
     original = tuning.fit_krr_comparator
     calls = []
 
-    def fail_worst_fold(train, ridge, kernel, norm=None, system=None):
+    def fail_worst_fold(train, ridge, kernel, norm=None, k=None):
         calls.append((ridge, kernel))
         if (ridge, kernel) == winner and calls.count(winner) == worst + 1:
             raise NumericalError("forced failure")
-        return original(train, ridge, kernel, norm=norm, system=system)
+        return original(train, ridge, kernel, norm=norm, k=k)
 
     monkeypatch.setattr(tuning, "fit_krr_comparator", fail_worst_fold)
     assert tune_krr(data, KRR_GRID) != winner
@@ -496,15 +503,15 @@ def test_tune_krr_on_a_linear_grid_searches_the_ridge_only(monkeypatch):
     grams, fits = [], []
     original_gram, original_fit = tuning.krr_gram, tuning.fit_krr_comparator
 
-    def counting_gram(train, kernel, out=None):
+    def counting_gram(train, kernel):
         grams.append(kernel)
-        return original_gram(train, kernel, out=out)
+        return original_gram(train, kernel)
 
-    def failing_fit(train, ridge, kernel, norm=None, system=None):
+    def failing_fit(train, ridge, kernel, norm=None, k=None):
         fits.append((ridge, kernel))
         if (ridge, kernel) in failing and fits.count((ridge, kernel)) == spec.folds:
             raise NumericalError("forced failure")
-        return original_fit(train, ridge, kernel, norm=norm, system=system)
+        return original_fit(train, ridge, kernel, norm=norm, k=k)
 
     monkeypatch.setattr(tuning, "krr_gram", counting_gram)
     monkeypatch.setattr(tuning, "fit_krr_comparator", failing_fit)
@@ -530,6 +537,43 @@ def test_tune_krr_returns_fittable_choice():
     ridge, kernel = tune_krr(regular, spec)
     assert ridge > 0
     assert kernel.kind == "rbf"
+
+
+@st.composite
+def _small_krr_searches(draw):
+    """A small regular-feature dataset and a comparator grid: rbf with a free
+    or pinned width, or the linear kernel, over 2-3 folds."""
+    pi = small_pi_dataset(seed=draw(st.integers(0, 2**16)), m=draw(st.integers(6, 20)))
+    kernel = draw(st.sampled_from(["rbf", "rbf", "linear"]))
+    c_lo, mu_lo = draw(st.integers(-6, 2)), draw(st.integers(-5, 1))
+    spec = GridSpec(
+        c_lo=c_lo, c_hi=c_lo + draw(st.integers(0, 3)),
+        mu_lo=mu_lo, mu_hi=mu_lo + draw(st.integers(0, 2)),
+        folds=draw(st.integers(2, 3)),
+        seed=draw(st.integers(0, 99)),
+        kernel=kernel,
+        pin_mu=draw(st.sampled_from([None, None, 0.125])) if kernel == "rbf" else None,
+        max_candidates=draw(st.one_of(st.none(), st.integers(1, 8))),
+    )
+    return Dataset(pi.regular, pi.targets), spec
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@given(search=_small_krr_searches())
+@settings(max_examples=100, deadline=None)
+def test_tune_krr_picks_what_fresh_fits_pick(threads, search):
+    # a (fold, width) group shares one Gram and one validation cross-Gram;
+    # the pick must be the one that one fresh fit and predict per candidate
+    # and fold gives
+    data, spec = search
+    with at_blas_threads(threads):
+        naive = _naive_krr_rmses(data, spec)
+        eligible = {c: float(np.mean(r)) for c, r in naive.items() if None not in r}
+        if not eligible:
+            with pytest.raises(TuningError):
+                tune_krr(data, spec)
+            return
+        assert tune_krr(data, spec) == min(eligible, key=eligible.get)
 
 
 def test_both_searches_score_the_same_folds_and_break_ties_toward_the_earliest(monkeypatch):
