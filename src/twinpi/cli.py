@@ -10,6 +10,8 @@ repeatable flag takes a comma-separated list); explicit flags win.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 import time
 from dataclasses import replace
@@ -123,6 +125,18 @@ def _fmt_ratio(value: float | None) -> str:
     return "undefined" if value is None else _fmt(value)
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV lines, each ending in a newline.
+
+    A cell holding a comma, a quote or a newline is quoted as ``csv.writer``
+    quotes it, so ``csv.reader`` reads it back as one cell; other cells are
+    written as they are.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def _lag_count(raw: str) -> int:
     """``--lags``: a non-negative integer (0 = off)."""
     try:
@@ -228,15 +242,14 @@ def cmd_eval(args) -> int:
     print(f"predict_time_s = {elapsed:.4f}")
     if args.out:
         out_path = Path(args.out)
-        row = ",".join(
-            [args.data, args.model, _fmt(met.rmse), _fmt(met.sse), _fmt_ratio(met.sse_over_sst),
-             str(met.n)]
-        )
+        row = [args.data, args.model, _fmt(met.rmse), _fmt(met.sse),
+               _fmt_ratio(met.sse_over_sst), str(met.n)]
         if not out_path.exists():
-            write_text_atomically(out_path, "data,model,rmse,sse,sse_over_sst,n\n" + row + "\n")
+            header = ["data", "model", "rmse", "sse", "sse_over_sst", "n"]
+            write_text_atomically(out_path, _csv_text([header, row]))
         else:
             with open(out_path, "a", encoding="utf-8") as fh:
-                fh.write(row + "\n")
+                fh.write(_csv_text([row]))
     return EXIT_OK
 
 
@@ -244,75 +257,89 @@ def cmd_eval(args) -> int:
 _ROW_ERRORS = (DataError, NumericalError, TuningError, ValueError)
 
 
-def _benchmark_one_repeat(
-    args, grid: GridSpec, spec_kind: str, spec_value: str, seed_r: int, twin: bool = True
-):
-    """One tune->fit->eval pass of ``grid`` at seed ``seed_r``.
+def _benchmark_dataset(args, grid: GridSpec, index: int, kind: str, value: str):
+    """Tune, fit and score dataset ``index`` on each of ``args.repeats`` seeds.
 
-    Returns (twin metrics, krr metrics, timings). Each model's metrics are
-    None when it did not run (the twin model without ``twin``, the comparator
-    without ``--with-krr``), or the error that stopped it: the comparator is
-    tuned and scored after the twin model whether or not that failed. The
-    timings map each phase to its seconds: the twin model's tune, fit and
-    predict; data prep (generate or load, split, normalize, privileged
+    ``kind`` is "synthetic" (``value`` names the function) or "csv" (``value``
+    is the path). Returns (twin metrics, krr metrics, timings, error): the
+    metrics of each repeat each model scored, the timings of each repeat that
+    ran to its end, and the error that fails the row, None if none. The rules:
+
+    * the twin model's first error names the row, and the twin model is not
+      run again; without ``--with-krr`` the repeats stop there;
+    * a data-prep or comparator error stops the dataset at once, and names the
+      row unless the twin model failed first;
+    * the caller fills the comparator's cells only when it scored every repeat.
+
+    A repeat's timings map each phase to its seconds: the twin model's tune,
+    fit and predict; data prep (generate or load, split, normalize, privileged
     split); and, with ``--with-krr``, krr (tune, fit and predict of the
-    comparator).
+    comparator). Errors outside ``_ROW_ERRORS`` propagate.
     """
-    start = time.perf_counter()
-    if spec_kind == "synthetic":
-        train_raw, test_raw = gen_synthetic(
-            spec_value, args.n_train, args.n_test, NoiseSpec(args.noise, seed=seed_r + 1), seed_r
-        )
-    else:
-        ds = _load_dataset(spec_value, args.target, args.lags)
-        scheme = (
-            HeadSplit(args.head_count)
-            if args.split == "head"
-            else RatioSplit(args.split_ratio, seed=seed_r)
-        )
-        train_raw, test_raw = train_test_split(ds, scheme)
-
-    train_n, stats = min_max_normalize(train_raw)
-    pi = split_privileged(train_n)
-    data_time = time.perf_counter() - start
-    grid = replace(grid, seed=seed_r)
-    d_regular = pi.regular.shape[1]
-    x_test = test_raw.features[:, :d_regular]
-    y_true = stats.transform_targets(test_raw.targets)
-
-    timings = {}
-    twin_metrics = None
-    if twin:
+    twin_all, krr_all, timings, error = [], [], [], None
+    for repeat in range(args.repeats):
+        seed_r = args.seed + 7919 * index + 101 * repeat
         try:
             start = time.perf_counter()
-            tuned = cross_validate(pi, grid)
-            timings["tune"] = time.perf_counter() - start
-
-            start = time.perf_counter()
-            model = fit(pi, tuned.best, norm=stats)
-            timings["fit"] = time.perf_counter() - start
-
-            start = time.perf_counter()
-            y_hat = predict(model, x_test)
-            timings["predict"] = time.perf_counter() - start
-            twin_metrics = evaluate(y_true, y_hat)
+            if kind == "synthetic":
+                train_raw, test_raw = gen_synthetic(
+                    value, args.n_train, args.n_test, NoiseSpec(args.noise, seed=seed_r + 1),
+                    seed_r,
+                )
+            else:
+                ds = _load_dataset(value, args.target, args.lags)
+                scheme = (
+                    HeadSplit(args.head_count)
+                    if args.split == "head"
+                    else RatioSplit(args.split_ratio, seed=seed_r)
+                )
+                train_raw, test_raw = train_test_split(ds, scheme)
+            train_n, stats = min_max_normalize(train_raw)
+            pi = split_privileged(train_n)
+            data_time = time.perf_counter() - start
+            grid = replace(grid, seed=seed_r)
+            d_regular = pi.regular.shape[1]
+            x_test = test_raw.features[:, :d_regular]
+            y_true = stats.transform_targets(test_raw.targets)
         except _ROW_ERRORS as exc:
-            twin_metrics = exc
-    timings["data prep"] = data_time
+            error = error or exc
+            break
 
-    krr_metrics = None
-    if args.with_krr:
-        try:
-            start = time.perf_counter()
-            regular_train = Dataset(train_n.features[:, :d_regular], train_n.targets)
-            ridge, kernel = tune_krr(regular_train, grid)
-            krr = fit_krr_comparator(regular_train, ridge, kernel, norm=stats)
-            krr_predictions = krr.predict(x_test)
-            timings["krr"] = time.perf_counter() - start
-            krr_metrics = evaluate(y_true, krr_predictions)
-        except _ROW_ERRORS as exc:
-            krr_metrics = exc
-    return twin_metrics, krr_metrics, timings
+        times = {}
+        if error is None:
+            try:
+                start = time.perf_counter()
+                tuned = cross_validate(pi, grid)
+                times["tune"] = time.perf_counter() - start
+
+                start = time.perf_counter()
+                model = fit(pi, tuned.best, norm=stats)
+                times["fit"] = time.perf_counter() - start
+
+                start = time.perf_counter()
+                y_hat = predict(model, x_test)
+                times["predict"] = time.perf_counter() - start
+                twin_all.append(evaluate(y_true, y_hat))
+            except _ROW_ERRORS as exc:
+                error = exc
+                if not args.with_krr:
+                    break
+        times["data prep"] = data_time
+
+        if args.with_krr:
+            try:
+                start = time.perf_counter()
+                regular_train = Dataset(train_n.features[:, :d_regular], train_n.targets)
+                ridge, kernel = tune_krr(regular_train, grid)
+                krr = fit_krr_comparator(regular_train, ridge, kernel, norm=stats)
+                krr_predictions = krr.predict(x_test)
+                times["krr"] = time.perf_counter() - start
+                krr_all.append(evaluate(y_true, krr_predictions))
+            except _ROW_ERRORS as exc:
+                error = error or exc
+                break
+        timings.append(times)
+    return twin_all, krr_all, timings, error
 
 
 def _averaged_cells(metrics) -> tuple[list[str], float]:
@@ -348,42 +375,19 @@ def cmd_benchmark(args) -> int:
     if args.with_krr:
         header += ["krr_rmse", "krr_sse", "krr_sse_over_sst"]
     header.append("error")
-    rows = [",".join(header)]
+    rows = [header]
     timing_lines = []
 
     for index, (kind, value) in enumerate(specs):
         name = value if kind == "synthetic" else Path(value).stem
-        # A failed twin model fails the row with its first error; the
-        # comparator is still scored on every repeat, and fills its cells
-        # when it fitted on all of them.
-        twin_all, krr_all, timings, twin_error = [], [], [], None
-        try:
-            for repeat in range(args.repeats):
-                seed_r = args.seed + 7919 * index + 101 * repeat
-                twin_met, krr_met, times = _benchmark_one_repeat(
-                    args, grid, kind, value, seed_r, twin=twin_error is None
-                )
-                if isinstance(twin_met, Exception):
-                    twin_error = twin_met
-                    if not args.with_krr:
-                        break
-                elif twin_met is not None:
-                    twin_all.append(twin_met)
-                if isinstance(krr_met, Exception):
-                    raise krr_met
-                if krr_met is not None:
-                    krr_all.append(krr_met)
-                timings.append(times)
-            if twin_error is not None:
-                raise twin_error
-
+        twin_all, krr_all, timings, error = _benchmark_dataset(args, grid, index, kind, value)
+        krr_cells = []
+        if args.with_krr:
+            scored = len(krr_all) == args.repeats
+            krr_cells, krr_rmse = _averaged_cells(krr_all) if scored else (["", "", ""], None)
+        if error is None:
             twin_cells, twin_rmse = _averaged_cells(twin_all)
-            cells = [name, "ok", *twin_cells]
-            if args.with_krr:
-                krr_cells, krr_rmse = _averaged_cells(krr_all)
-                cells += krr_cells
-            cells.append("")
-            rows.append(",".join(cells))
+            rows.append([name, "ok", *twin_cells, *krr_cells, ""])
             phases = ", ".join(
                 f"{phase} {aggregate_mean([t[phase] for t in timings]):.4f} s"
                 for phase in timings[0]
@@ -391,20 +395,14 @@ def cmd_benchmark(args) -> int:
             timing_lines.append(f"{name}: {phases} (mean over repeats)")
             print(f"{name}: twin rmse {twin_rmse:.6f}" +
                   (f", krr rmse {krr_rmse:.6f}" if args.with_krr else ""))
-        except _ROW_ERRORS as exc:
-            exc = twin_error or exc
-            message = str(exc).replace(",", ";").replace("\n", " ")
-            cells = [name, "failed", "", "", ""]
-            if args.with_krr:
-                scored = len(krr_all) == args.repeats
-                cells += _averaged_cells(krr_all)[0] if scored else ["", "", ""]
-            cells.append(message)
-            rows.append(",".join(cells))
+        else:
+            message = str(error).replace(",", ";").replace("\n", " ")
+            rows.append([name, "failed", "", "", "", *krr_cells, message])
             timing_lines.append(f"{name}: failed")
-            print(f"{name}: FAILED ({exc})", file=sys.stderr)
+            print(f"{name}: FAILED ({error})", file=sys.stderr)
 
     csv_path = out_dir / "benchmark.csv"
-    write_text_atomically(csv_path, "\n".join(rows) + "\n")
+    write_text_atomically(csv_path, _csv_text(rows))
     # Wall-clock timings are machine-dependent; kept out of the CSV so the
     # primary output is byte-identical across reruns of one config.
     write_text_atomically(out_dir / "timing.txt", "\n".join(timing_lines) + "\n")
@@ -430,15 +428,15 @@ def cmd_stats(args) -> int:
         dataset_names = report.dataset_names or tuple(
             f"dataset{i + 1}" for i in range(report.rank_matrix.shape[0])
         )
-        rank_lines = ["dataset," + ",".join(names)]
+        rank_rows = [["dataset", *names]]
         for ds_name, row in zip(dataset_names, report.rank_matrix):
-            rank_lines.append(ds_name + "," + ",".join(_fmt(v) for v in row))
-        rank_lines.append("avg_rank," + ",".join(_fmt(v) for v in report.avg_ranks))
-        write_text_atomically(out_dir / "ranks.csv", "\n".join(rank_lines) + "\n")
-        sig_lines = ["model," + ",".join(names)]
+            rank_rows.append([ds_name, *map(_fmt, row)])
+        rank_rows.append(["avg_rank", *map(_fmt, report.avg_ranks)])
+        write_text_atomically(out_dir / "ranks.csv", _csv_text(rank_rows))
+        sig_rows = [["model", *names]]
         for name, row in zip(names, report.significant):
-            sig_lines.append(name + "," + ",".join("yes" if v else "no" for v in row))
-        write_text_atomically(out_dir / "significance.csv", "\n".join(sig_lines) + "\n")
+            sig_rows.append([name, *("yes" if v else "no" for v in row)])
+        write_text_atomically(out_dir / "significance.csv", _csv_text(sig_rows))
     return EXIT_OK
 
 

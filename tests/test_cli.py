@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import io
 import json
@@ -21,6 +22,14 @@ from twinpi.tuning import TuningError
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_csv_rows(path):
+    """The rows of a CSV output, each checked to be as wide as the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [len(rows[0])] * len(rows)
+    return rows
 
 
 # ------------------------------------------------------------------- synth
@@ -171,6 +180,21 @@ def test_eval_prints_metrics_and_appends_row(f2_run, tmp_path, capsys):
     run(["eval", "--model", fit_dir / "model.json",
          "--data", data_dir / "test.csv", "--out", results])
     assert len(results.read_text().splitlines()) == 3
+
+
+def test_eval_out_quotes_paths_with_commas(f2_run, tmp_path):
+    data_dir, fit_dir = f2_run
+    data = tmp_path / "test,\"held out\".csv"
+    data.write_bytes((data_dir / "test.csv").read_bytes())
+    model = tmp_path / "fit,a" / "model.json"
+    model.parent.mkdir()
+    model.write_bytes((fit_dir / "model.json").read_bytes())
+    results = tmp_path / "results.csv"
+    for _ in range(2):  # the first row is written whole, the second appended
+        assert run(["eval", "--model", model, "--data", data, "--out", results]) == 0
+    rows = read_csv_rows(results)
+    assert rows[0] == ["data", "model", "rmse", "sse", "sse_over_sst", "n"]
+    assert [row[:2] for row in rows[1:]] == [[str(data), str(model)]] * 2
 
 
 def test_eval_matches_library_metrics(f2_run, capsys):
@@ -373,6 +397,85 @@ def test_benchmark_leaves_comparator_cells_empty_unless_every_repeat_fitted(
     assert len(tunes) == 1 and len(krr_tunes) == 2
 
 
+def test_benchmark_names_a_data_prep_failure_after_the_twin_model_failed(
+    tmp_path, capsys, monkeypatch
+):
+    normalize = twinpi.cli.min_max_normalize
+    calls = []
+
+    def failing_second_normalize(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise DataError("forced data-prep failure")
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(twinpi.cli, "min_max_normalize", failing_second_normalize)
+    out = tmp_path / "bench"
+    assert run(LINEAR_PAST_ROW_LIMIT + ["--repeats", 2, "--out", out]) == 0
+    cells = read_csv_rows(out / "benchmark.csv")[1]
+    # The comparator scored repeat 1 only, so its cells stay empty.
+    assert cells[:8] == ["f2", "failed", "", "", "", "", "", ""]
+    assert cells[8].startswith("none of the 6 candidates can fit fold 1: ")
+    assert "f2: FAILED (none of the 6 candidates can fit fold 1: " in capsys.readouterr().err
+    assert (out / "timing.txt").read_text() == "f2: failed\n"
+    assert len(calls) == 2
+
+
+SMALL_F2_WITH_KRR = ["benchmark", "--synthetic", "f2", "--repeats", 2, "--n-train", 40,
+                     "--n-test", 20, "--max-candidates", 4, "--grid-lo", -6, "--grid-hi", -2,
+                     "--folds", 3, "--with-krr"]
+
+
+@pytest.mark.parametrize("name, failing_call, error", [
+    ("min_max_normalize", 2, DataError("forced data-prep failure")),
+    ("tune_krr", 1, TuningError("forced comparator failure")),
+])
+def test_benchmark_names_a_data_prep_or_comparator_failure_of_a_fitting_twin_model(
+    tmp_path, capsys, monkeypatch, name, failing_call, error
+):
+    original = getattr(twinpi.cli, name)
+    calls, tunes = [], []
+    cross_validate = twinpi.cli.cross_validate
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise error
+        return original(*args, **kwargs)
+
+    def counted_cross_validate(*args, **kwargs):
+        tunes.append(args)
+        return cross_validate(*args, **kwargs)
+
+    monkeypatch.setattr(twinpi.cli, name, failing)
+    monkeypatch.setattr(twinpi.cli, "cross_validate", counted_cross_validate)
+    out = tmp_path / "bench"
+    assert run(SMALL_F2_WITH_KRR + ["--out", out]) == 0
+    rows = read_csv_rows(out / "benchmark.csv")
+    assert rows[1] == ["f2", "failed", "", "", "", "", "", "", str(error)]
+    assert capsys.readouterr().err == f"f2: FAILED ({error})\n"
+    assert (out / "timing.txt").read_text() == "f2: failed\n"
+    # The error stops the dataset at once: no repeat runs after it.
+    assert len(calls) == failing_call and len(tunes) == 1
+
+
+def test_benchmark_quotes_a_dataset_name_with_a_comma(tmp_path):
+    data = tmp_path / "a,b.csv"
+    run(["synth", "--fn", "f2", "--n-train", 40, "--out", tmp_path / "synth"])
+    data.write_bytes((tmp_path / "synth" / "train.csv").read_bytes())
+    out = tmp_path / "bench"
+    base = ["--data", data, "--repeats", 1, "--max-candidates", 4, "--folds", 3,
+            "--pin-mu", 0.0625, "--with-krr"]
+    assert run(["benchmark", *base, "--out", out]) == 0
+    rows = read_csv_rows(out / "benchmark.csv")
+    assert len(rows[0]) == 9 and [row[:2] for row in rows[1:]] == [["a,b", "ok"]]
+    # A failed row too: the linear variant cannot fit this many training rows.
+    assert run(["benchmark", *base[:-3], "--kernel", "linear", "--out", out]) == 0
+    rows = read_csv_rows(out / "benchmark.csv")
+    assert [row[:2] for row in rows[1:]] == [["a,b", "failed"]]
+    assert "exceed" in rows[1][5]
+
+
 def test_benchmark_without_datasets_is_usage_error(tmp_path):
     assert run(["benchmark", "--out", tmp_path]) == 1
 
@@ -450,6 +553,22 @@ def test_stats_command_golden_values(tmp_path, capsys):
     assert "cd = 2.1767" in text
     assert "reject the null" in text
     assert (out / "ranks.csv").exists() and (out / "significance.csv").exists()
+
+
+def test_stats_outputs_quote_names_with_commas(tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text('dataset,"twin, tied",krr,"say ""hi"""\n'
+                      '"d,1",0.1,0.2,0.3\nd2,0.3,0.1,0.2\nd3,0.2,0.3,0.1\n')
+    out = tmp_path / "report"
+    assert run(["stats", "--scores", scores, "--out", out]) == 0
+    names = ["twin, tied", "krr", 'say "hi"']
+    ranks = read_csv_rows(out / "ranks.csv")
+    assert ranks[0] == ["dataset", *names]
+    assert [row[0] for row in ranks[1:]] == ["d,1", "d2", "d3", "avg_rank"]
+    assert ranks[1][1:] == ["1.0", "2.0", "3.0"]
+    significance = read_csv_rows(out / "significance.csv")
+    assert significance[0] == ["model", *names]
+    assert [row[0] for row in significance[1:]] == names
 
 
 def test_stats_identical_scores_degenerate(tmp_path, capsys):

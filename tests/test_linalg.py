@@ -143,7 +143,7 @@ def _singular_consistent(rng, n):
 
 
 @pytest.mark.parametrize("threads", BLAS_THREADS)
-def test_recycled_entries_retry_in_the_dropped_retry_arrays_bitwise(threads):
+def test_recycled_entries_retry_like_fresh_ones_bitwise(threads):
     rng = np.random.default_rng(9)
     previous = None
     with at_blas_threads(threads):
