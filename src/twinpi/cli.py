@@ -128,13 +128,18 @@ def _fmt_ratio(value: float | None) -> str:
 def _csv_text(rows) -> str:
     """``rows`` as CSV lines, each ending in a newline.
 
-    A cell holding a comma, a quote or a newline is quoted as ``csv.writer``
-    quotes it, so ``csv.reader`` reads it back as one cell; other cells are
-    written as they are.
+    A cell holding a comma, a quote, a newline or a carriage return is quoted
+    as ``csv.writer`` quotes it, so ``csv.reader`` reads it back as one cell;
+    other cells are written as they are. Each row is written with a CRLF
+    terminator, since with a bare LF one ``csv.writer`` leaves a carriage
+    return unquoted, and the CRLF then becomes a newline.
     """
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
+    lines = []
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def _lag_count(raw: str) -> int:
@@ -231,11 +236,20 @@ def cmd_eval(args) -> int:
             f"model needs at least {d_regular}"
         )
     x = ds.features[:, :d_regular]
-    start = time.perf_counter()
-    y_hat = predict(model, x)
-    elapsed = time.perf_counter() - start
-    y_true = model.norm.transform_targets(ds.targets) if model.norm is not None else ds.targets
-    met = evaluate(y_true, y_hat)
+    # A model file or test data out of range overflows to inf or NaN, which is
+    # a data error below rather than a warning and a NaN metric.
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = time.perf_counter()
+        y_hat = predict(model, x)
+        elapsed = time.perf_counter() - start
+        y_true = model.norm.transform_targets(ds.targets) if model.norm is not None else ds.targets
+        met = evaluate(y_true, y_hat)
+    if not np.all(np.isfinite(y_hat)):
+        raise DataError("the model predicts NaN or inf on these features; "
+                        "the model file or the test data is out of range")
+    if not np.isfinite(met.sse):
+        raise DataError("the squared errors overflow; the model file or the test data "
+                        "is out of range")
     print(f"rmse = {met.rmse}")
     print(f"sse = {met.sse}")
     print(f"sse/sst = {_fmt_ratio(met.sse_over_sst)}")
@@ -356,6 +370,11 @@ def cmd_benchmark(args) -> int:
     specs += [("csv", path) for path in (args.data or [])]
     if not specs:
         raise UsageError("no datasets given: use --synthetic and/or --data")
+    names = [value if kind == "synthetic" else Path(value).stem for kind, value in specs]
+    for name in names:
+        if names.count(name) > 1:
+            raise UsageError(f"dataset name {name!r} appears more than once; "
+                             "each benchmark row needs its own name")
     if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
     if not 0.0 < args.split_ratio < 1.0:
@@ -378,8 +397,7 @@ def cmd_benchmark(args) -> int:
     rows = [header]
     timing_lines = []
 
-    for index, (kind, value) in enumerate(specs):
-        name = value if kind == "synthetic" else Path(value).stem
+    for index, ((kind, value), name) in enumerate(zip(specs, names)):
         twin_all, krr_all, timings, error = _benchmark_dataset(args, grid, index, kind, value)
         krr_cells = []
         if args.with_krr:

@@ -259,24 +259,24 @@ class KKTResiduals:
 class TrainedModel:
     """Fitted twin regressor: weight vectors packed as [u; bias].
 
-    Regular training rows are retained for kernel prediction; privileged
-    rows are retained only so the correcting functions can be inspected.
-    ``norm`` carries the training normalization when the surrounding
-    pipeline attached one, in which case prediction inputs are raw.
-    ``kkt`` holds the six residuals the fit's gate checked; it is not
-    saved, so a loaded model has None, and ``dataclasses.replace`` copies
-    it unchanged, so it describes the fitted weights only.
+    The required fields and ``norm`` are what prediction reads and all a model
+    file holds; ``norm`` is the training normalization, which makes prediction
+    inputs raw. The privileged channel (``v1_star``, ``v2_star``, ``duals``,
+    ``train_privileged``), which ``correcting_values`` and ``kkt_residuals``
+    read, and ``kkt``, the residuals the fit's gate checked, are set by
+    ``fit`` and None in a loaded model. ``dataclasses.replace`` copies
+    ``kkt`` unchanged, so it describes the fitted weights only.
     """
 
     v1: np.ndarray
     v2: np.ndarray
-    v1_star: np.ndarray
-    v2_star: np.ndarray
-    duals: DualSolution
     hp: Hyperparams
     train_regular: np.ndarray
-    train_privileged: np.ndarray
     norm: NormStats | None = None
+    v1_star: np.ndarray | None = None
+    v2_star: np.ndarray | None = None
+    duals: DualSolution | None = None
+    train_privileged: np.ndarray | None = None
     kkt: KKTResiduals | None = field(default=None, compare=False)
 
     @property
@@ -753,12 +753,20 @@ def bound_functions(model: TrainedModel, x: np.ndarray) -> tuple[np.ndarray, np.
     return s1 + model.v1[-1], s2 + model.v2[-1]
 
 
+def _require_privileged_channel(model: TrainedModel) -> None:
+    """Raise ValueError unless ``model`` holds the privileged channel ``fit`` sets."""
+    if any(v is None for v in (model.v1_star, model.v2_star, model.duals, model.train_privileged)):
+        raise ValueError("the model holds no privileged channel; a model file keeps only what "
+                         "predict reads")
+
+
 def correcting_values(model: TrainedModel, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate both correcting functions on privileged inputs.
 
-    Training-time diagnostic only: inputs are expected in the same
-    (already normalized) space the model was fitted in.
+    Training-time diagnostic of a model ``fit`` returned: inputs are expected
+    in the same (already normalized) space the model was fitted in.
     """
+    _require_privileged_channel(model)
     x_star = _prediction_rows(x_star, model.train_privileged.shape[1], "privileged feature")
     s1, s2 = _design_products(
         x_star, model.train_privileged, model.hp.kernel, model.v1_star[:-1], model.v2_star[:-1]
@@ -767,7 +775,8 @@ def correcting_values(model: TrainedModel, x_star: np.ndarray) -> tuple[np.ndarr
 
 
 def kkt_residuals(model: TrainedModel, data: PIDataset) -> KKTResiduals:
-    """Infinity norms of all six optimality equations on the training data."""
+    """Infinity norms of all six optimality equations of a model ``fit`` returned."""
+    _require_privileged_channel(model)
     ws = build_workspace(data, model.hp)
     y = _check_targets(ws, data.targets)
     return KKTResiduals(
@@ -830,12 +839,17 @@ def fit_krr_comparator(
     )
 
 
-MODEL_FORMAT = "twinpi-model-v1"
+MODEL_FORMAT = "twinpi-model-v2"
+
+#: The formats ``load_model`` reads; v1 also holds the privileged channel, unread.
+_READ_FORMATS = (MODEL_FORMAT, "twinpi-model-v1")
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    """Serialize to JSON with shortest round-trip floats (exact decimal round trip).
+    """Write what prediction reads, no privileged channel, as JSON in ``MODEL_FORMAT``.
 
+    The keys are ``format``, ``hyperparams``, ``v1``, ``v2``, ``train_regular``
+    and ``norm``, with shortest round-trip floats (exact decimal round trip).
     The file is replaced atomically (:func:`~twinpi.data.write_atomically`):
     readers see the old file or the new one, never a truncated one.
     """
@@ -850,12 +864,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         },
         "v1": model.v1.tolist(),
         "v2": model.v2.tolist(),
-        "v1_star": model.v1_star.tolist(),
-        "v2_star": model.v2_star.tolist(),
-        "alpha": model.duals.alpha.tolist(),
-        "beta": model.duals.beta.tolist(),
         "train_regular": model.train_regular.tolist(),
-        "train_privileged": model.train_privileged.tolist(),
         "norm": None
         if model.norm is None
         else {"col_min": model.norm.col_min.tolist(), "col_max": model.norm.col_max.tolist()},
@@ -884,26 +893,14 @@ def _model_from_payload(payload: dict) -> TrainedModel:
         eps1=hp_raw["eps1"], eps2=hp_raw["eps2"], kernel=kernel,
     )
     train_regular = _model_array(payload, "train_regular", 2)
-    train_privileged = _model_array(payload, "train_privileged", 2)
     m, d_regular = train_regular.shape
-    if train_privileged.shape[0] != m:
-        raise DataError(
-            f"train_privileged has {train_privileged.shape[0]} rows, train_regular has {m}"
-        )
     # Weight vectors are [u; bias]: u spans the training rows in kernel mode,
-    # the feature columns of their channel in linear mode.
-    n_regular = m if kernel is not None else d_regular
-    n_privileged = m if kernel is not None else train_privileged.shape[1]
-    expected = {
-        "v1": n_regular + 1, "v2": n_regular + 1,
-        "v1_star": n_privileged + 1, "v2_star": n_privileged + 1,
-        "alpha": m, "beta": m,
-    }
-    vectors = {}
-    for key, length in expected.items():
-        vectors[key] = _model_array(payload, key, 1)
-        if vectors[key].shape[0] != length:
-            raise DataError(f"{key} has length {vectors[key].shape[0]}, expected {length}")
+    # the regular feature columns in linear mode.
+    length = (m if kernel is not None else d_regular) + 1
+    weights = {key: _model_array(payload, key, 1) for key in ("v1", "v2")}
+    for key, v in weights.items():
+        if v.shape[0] != length:
+            raise DataError(f"{key} has length {v.shape[0]}, expected {length}")
     norm = None
     if payload["norm"] is not None:
         norm = NormStats(payload["norm"]["col_min"], payload["norm"]["col_max"])
@@ -912,23 +909,19 @@ def _model_from_payload(payload: dict) -> TrainedModel:
                 f"norm covers {norm.n_feature_columns} feature columns, "
                 f"the model reads {d_regular}"
             )
-    return TrainedModel(
-        v1=vectors["v1"],
-        v2=vectors["v2"],
-        v1_star=vectors["v1_star"],
-        v2_star=vectors["v2_star"],
-        duals=DualSolution(alpha=vectors["alpha"], beta=vectors["beta"]),
-        hp=hp,
-        train_regular=train_regular,
-        train_privileged=train_privileged,
-        norm=norm,
-    )
+    return TrainedModel(**weights, hp=hp, train_regular=train_regular, norm=norm)
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """Read a model file; any unreadable, incomplete or inconsistent file is a DataError."""
+    """Read a model file in any of ``_READ_FORMATS``: only the keys ``save_model`` writes.
+
+    The model has no privileged channel. Any unreadable, incomplete or
+    inconsistent file, or JSON nested too deep to parse, is a DataError.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise DataError(f"model file {path} nests its JSON too deeply to read") from None
     except OSError as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -937,7 +930,7 @@ def load_model(path: str | Path) -> TrainedModel:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"model file {path} holds a JSON {type(payload).__name__}, not an object")
-    if payload.get("format") != MODEL_FORMAT:
+    if payload.get("format") not in _READ_FORMATS:
         raise DataError(f"model file {path} has unknown format {payload.get('format')!r}")
     try:
         return _model_from_payload(payload)

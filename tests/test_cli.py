@@ -3,6 +3,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import csv_files, single_blas_thread
 import twinpi.cli
-from twinpi.cli import main, read_config, write_config
+from twinpi.cli import _csv_text, main, read_config, write_config
 from twinpi.data import DataError, load_csv
 from twinpi.metrics import evaluate
 from twinpi.model import load_model, predict
@@ -271,6 +273,128 @@ def test_eval_model_file_that_is_not_utf8_is_a_data_error(f2_run, tmp_path, caps
     assert err.startswith(f"data error: model file {path} is not UTF-8 text")
 
 
+@pytest.mark.parametrize("command", ["eval", "bounds"])
+def test_a_model_file_nested_too_deep_is_a_data_error(f2_run, tmp_path, capsys, command):
+    data_dir, _ = f2_run
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    argv = {"eval": ["eval", "--model", path, "--data", data_dir / "test.csv"],
+            "bounds": ["bounds", "--model", path, "--lipschitz", 1]}[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"data error: model file {path} nests its JSON too deeply to read\n"
+    )
+
+
+@pytest.mark.parametrize("weights, message", [
+    (lambda n: [(-1.0) ** i * 1e308 for i in range(n)], "predicts NaN or inf"),
+    (lambda n: [1e200] * n, "squared errors overflow"),
+], ids=["alternating-1e308", "constant-1e200"])
+def test_eval_of_weights_out_of_range_is_a_data_error(f2_run, capsys, weights, message):
+    data_dir, fit_dir = f2_run
+    path = fit_dir / "model.json"
+    payload = json.loads(path.read_text())
+    payload["v1"] = payload["v2"] = weights(len(payload["v1"]))
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["eval", "--model", path, "--data", data_dir / "test.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and message in captured.err
+
+
+# ------------------------------------------------ model file property test
+
+LEAN_MODEL_KEYS = ("format", "hyperparams", "v1", "v2", "train_regular", "norm")
+_HP_FIELDS = ("c1", "c2", "c3", "c4", "c5", "c6", "eps1", "eps2", "kernel")
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+_kernels = st.none() | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["rbf", "linear"]) | _json_values,
+     "mu": st.floats() | _json_values}
+)
+_ARRAYS = ("v1", "v2", "train_regular", "train_regular[0]", "norm col_min", "norm col_max")
+_model_edits = st.one_of(
+    st.tuples(st.just("delete"), st.sampled_from(LEAN_MODEL_KEYS)),
+    st.tuples(st.just("swap"), st.sampled_from(LEAN_MODEL_KEYS), _json_values),
+    st.tuples(st.just("swap entry"), st.sampled_from(_ARRAYS), st.integers(0, 30),
+              st.floats() | st.sampled_from([1e308, -1e308, 1e200, 5e-324]) | _json_values),
+    st.tuples(st.just("resize"), st.sampled_from(_ARRAYS), st.integers(0, 30)),
+    st.tuples(
+        st.just("hyperparam"),
+        st.sampled_from(_HP_FIELDS),
+        st.floats() | st.integers() | _json_values | _kernels,
+    ),
+)
+
+
+def _array(payload, name):
+    """The list an array edit changes; "train_regular[0]" is the first training row."""
+    if name.startswith("norm "):
+        return payload["norm"][name[5:]]
+    if name == "train_regular[0]":
+        return payload["train_regular"][0]
+    return payload[name]
+
+
+def _edit_model_payload(payload, edit):
+    kind, key, *value = edit
+    if kind == "delete":
+        payload.pop(key, None)
+    elif kind == "swap":
+        payload[key] = value[0]
+    elif kind == "hyperparam":
+        payload["hyperparams"][key] = value[0]
+    elif kind == "swap entry":
+        array = _array(payload, key)
+        array[value[0] % len(array)] = value[1]
+    else:  # resize: cut to n entries, or pad with copies of the last one
+        array, n = _array(payload, key), value[0]
+        array[:] = array[:n] + array[-1:] * (n - len(array))
+
+
+@pytest.fixture(scope="module")
+def lean_model_file(tmp_path_factory):
+    """A small fitted f2 model's file and a test set for it."""
+    root = tmp_path_factory.mktemp("lean")
+    assert run(["synth", "--fn", "f2", "--n-train", 20, "--n-test", 20, "--seed", 3,
+                "--out", root]) == 0
+    assert run(["fit", "--data", root / "train.csv", "--mu", 0.0625, "--out", root]) == 0
+    return json.loads((root / "model.json").read_text()), root / "test.csv"
+
+
+@given(edits=st.lists(_model_edits, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_an_edited_model_file_loads_or_is_a_data_error(lean_model_file, tmp_path_factory, edits):
+    payload, test_csv = lean_model_file
+    payload = json.loads(json.dumps(payload))  # a deep copy to edit
+    for edit in edits:
+        # an edit of a key an earlier edit deleted or swapped has nothing to edit
+        with contextlib.suppress(KeyError, TypeError, AttributeError, ZeroDivisionError):
+            _edit_model_payload(payload, edit)
+    path = tmp_path_factory.mktemp("edited") / "model.json"
+    path.write_text(json.dumps(payload))
+    try:
+        load_model(path)
+    except DataError:
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["eval", "--model", path, "--data", test_csv])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        printed = dict(line.split(" = ") for line in out.getvalue().splitlines())
+        for name in ("rmse", "sse", "sse/sst"):
+            assert printed[name] == "undefined" or math.isfinite(float(printed[name]))
+
+
 @given(csv_files())
 @settings(max_examples=150, deadline=None)
 def test_fit_on_a_csv_file_load_csv_rejects_is_a_data_error(tmp_path_factory, content):
@@ -476,6 +600,25 @@ def test_benchmark_quotes_a_dataset_name_with_a_comma(tmp_path):
     assert "exceed" in rows[1][5]
 
 
+@pytest.mark.parametrize("twice", ["csv", "synthetic"])
+def test_benchmark_rejects_two_datasets_of_one_name(tmp_path, capsys, twice):
+    # the files need not exist: the names are checked before any dataset runs
+    if twice == "csv":
+        datasets = ["--data", tmp_path / "a" / "train.csv", "--data", tmp_path / "b" / "train.csv"]
+        name = "train"
+    else:
+        datasets = ["--synthetic", "f2", "--synthetic", "f1", "--synthetic", "f2"]
+        name = "f2"
+    out = tmp_path / "bench"
+    assert run(["benchmark", *datasets, "--repeats", 1, "--max-candidates", 2,
+                "--out", out]) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: dataset name {name!r} appears more than once; "
+        "each benchmark row needs its own name\n"
+    )
+    assert not out.exists()
+
+
 def test_benchmark_without_datasets_is_usage_error(tmp_path):
     assert run(["benchmark", "--out", tmp_path]) == 1
 
@@ -569,6 +712,24 @@ def test_stats_outputs_quote_names_with_commas(tmp_path):
     significance = read_csv_rows(out / "significance.csv")
     assert significance[0] == ["model", *names]
     assert [row[0] for row in significance[1:]] == names
+
+
+def test_stats_outputs_quote_names_with_carriage_returns(tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(b'dataset,"twin\rtied",krr\n"d\r1",0.1,0.2\nd2,0.3,0.1\n')
+    out = tmp_path / "report"
+    assert run(["stats", "--scores", scores, "--out", out]) == 0
+    ranks = read_csv_rows(out / "ranks.csv")
+    assert ranks[0] == ["dataset", "twin\rtied", "krr"]
+    assert [row[0] for row in ranks[1:]] == ["d\r1", "d2", "avg_rank"]
+    assert read_csv_rows(out / "significance.csv")[0] == ["model", "twin\rtied", "krr"]
+
+
+def test_csv_text_quotes_only_cells_that_need_it():
+    rows = [["a\rb", "c\nd", "e"], ["x,y", 'q"', "plain"], ["", " s ", "1.5"], ["a\r\nb"]]
+    assert _csv_text(rows) == (
+        '"a\rb","c\nd",e\n"x,y","q""",plain\n, s ,1.5\n"a\r\nb"\n'
+    )
 
 
 def test_stats_identical_scores_degenerate(tmp_path, capsys):
@@ -671,8 +832,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 def test_model_file_is_valid_json(f2_run):
     _, fit_dir = f2_run
     payload = json.loads((fit_dir / "model.json").read_text())
-    assert payload["format"] == "twinpi-model-v1"
+    assert payload["format"] == "twinpi-model-v2"
     assert payload["hyperparams"]["kernel"]["kind"] == "rbf"
+    # only what predict reads: no privileged channel
+    assert sorted(payload) == sorted(LEAN_MODEL_KEYS)
 
 
 # ------------------------------------------------- lag embedding / head split

@@ -1062,14 +1062,14 @@ def test_model_round_trip_is_exact(tmp_path):
     back = load_model(path)
     np.testing.assert_array_equal(back.v1, model.v1)
     np.testing.assert_array_equal(back.v2, model.v2)
-    np.testing.assert_array_equal(back.v1_star, model.v1_star)
-    np.testing.assert_array_equal(back.v2_star, model.v2_star)
-    np.testing.assert_array_equal(back.duals.alpha, model.duals.alpha)
-    np.testing.assert_array_equal(back.duals.beta, model.duals.beta)
     np.testing.assert_array_equal(back.train_regular, model.train_regular)
-    np.testing.assert_array_equal(back.train_privileged, model.train_privileged)
     np.testing.assert_array_equal(back.norm.col_min, stats.col_min)
+    np.testing.assert_array_equal(back.norm.col_max, stats.col_max)
     assert back.hp == model.hp
+    # the privileged channel and the gate's residuals are not saved
+    assert (back.v1_star, back.v2_star, back.duals, back.train_privileged, back.kkt) == (
+        None, None, None, None, None
+    )
     probe = rng.normal(size=(4, data.regular.shape[1]))
     # loaded model carries normalization; compare through the same raw inputs
     np.testing.assert_array_equal(predict(back, probe), predict(model, probe))
@@ -1111,11 +1111,11 @@ def test_hyperparams_validation():
     "corrupt, message",
     [
         (lambda p: p.update(v1=p["v1"][:-1]), "v1 has length"),
-        (lambda p: p.update(beta=p["beta"] + [0.0]), "beta has length"),
-        (lambda p: p.update(train_privileged=p["train_privileged"][:-1]), "rows"),
+        (lambda p: p.update(v2=p["v2"] + [0.0]), "v2 has length"),
+        (lambda p: p.update(train_regular=p["train_regular"][:-1]), "expected"),
         (lambda p: p.update(train_regular=p["train_regular"][0]), "2-dimensional"),
         (lambda p: p["hyperparams"].update(c2=-1.0), "c2 must be positive"),
-        (lambda p: p.update(v2_star="oops"), "malformed"),
+        (lambda p: p.update(v2="oops"), "malformed"),
     ],
 )
 def test_load_model_rejects_inconsistent_payload(tmp_path, corrupt, message):
@@ -1127,3 +1127,65 @@ def test_load_model_rejects_inconsistent_payload(tmp_path, corrupt, message):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError, match=message):
         load_model(path)
+
+
+def _v1_payload(model):
+    """The model file the v1 format wrote: the lean keys plus the privileged channel."""
+    return {
+        "format": "twinpi-model-v1",
+        "hyperparams": {
+            "c1": model.hp.c1, "c2": model.hp.c2, "c3": model.hp.c3,
+            "c4": model.hp.c4, "c5": model.hp.c5, "c6": model.hp.c6,
+            "eps1": model.hp.eps1, "eps2": model.hp.eps2,
+            "kernel": None if model.hp.kernel is None
+            else {"kind": model.hp.kernel.kind, "mu": model.hp.kernel.mu},
+        },
+        "v1": model.v1.tolist(),
+        "v2": model.v2.tolist(),
+        "v1_star": model.v1_star.tolist(),
+        "v2_star": model.v2_star.tolist(),
+        "alpha": model.duals.alpha.tolist(),
+        "beta": model.duals.beta.tolist(),
+        "train_regular": model.train_regular.tolist(),
+        "train_privileged": model.train_privileged.tolist(),
+        "norm": None if model.norm is None
+        else {"col_min": model.norm.col_min.tolist(), "col_max": model.norm.col_max.tolist()},
+    }
+
+
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_v1_and_v2_model_files_predict_what_the_fitted_model_predicts(tmp_path, kind):
+    rng = np.random.default_rng(23)
+    data, hp = draw_well_posed(rng, kind)
+    _, stats = min_max_normalize(Dataset(np.column_stack([data.regular, data.privileged]),
+                                         data.targets))
+    model = fit(data, hp, norm=stats)
+    lean = tmp_path / "v2.json"
+    save_model(model, lean)
+    payload = _v1_payload(model)
+    assert set(payload) - set(json.loads(lean.read_text())) == {
+        "v1_star", "v2_star", "alpha", "beta", "train_privileged"
+    }
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(payload, indent=1))
+    probe = rng.normal(size=(70, data.regular.shape[1]))
+    want = predict(model, probe)
+    for path in (lean, old):
+        back = load_model(path)
+        assert back.duals is None and back.train_privileged is None
+        assert np.array_equal(predict(back, probe), want)
+        for got, expected in zip(bound_functions(back, probe), bound_functions(model, probe)):
+            assert np.array_equal(got, expected)
+
+
+def test_a_loaded_model_has_no_privileged_channel_to_check(tmp_path):
+    model = fit(REF_DATA, REF_HP)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    with pytest.raises(ValueError, match="holds no privileged channel"):
+        correcting_values(back, REF_DATA.privileged)
+    with pytest.raises(ValueError, match="holds no privileged channel"):
+        kkt_residuals(back, REF_DATA)
+    # the fitted model still has it
+    assert kkt_residuals(model, REF_DATA) == model.kkt
