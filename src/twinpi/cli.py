@@ -270,20 +270,47 @@ def cmd_eval(args) -> int:
 #: The errors that fail one dataset's benchmark row, not the whole run.
 _ROW_ERRORS = (DataError, NumericalError, TuningError, ValueError)
 
+#: The most candidates a benchmark repeat refits on all its training rows.
+_REFIT_CANDIDATES = 3
 
-def _benchmark_dataset(args, grid: GridSpec, index: int, kind: str, value: str):
+
+def _refit(pi, tuned, stats, label: str):
+    """The final model: the best candidate of ``tuned`` refitted on ``pi``, or,
+    when that fit raises :class:`NumericalError`, the next of the first
+    ``_REFIT_CANDIDATES`` in ``tuned.ranking`` whose fit succeeds.
+
+    A candidate past the best is named on stderr under ``label``. When every
+    refit fails, the best candidate's error is raised.
+    """
+    error = None
+    for rank, index in enumerate(tuned.ranking[:_REFIT_CANDIDATES], start=1):
+        try:
+            model = fit(pi, tuned.table[index].hp, norm=stats)
+        except NumericalError as exc:
+            error = error or exc
+            continue
+        if error is not None:
+            print(f"{label}: the best candidate's refit failed ({error}); "
+                  f"refitted rank {rank} of the selection order", file=sys.stderr)
+        return model
+    raise error
+
+
+def _benchmark_dataset(args, grid: GridSpec, index: int, kind: str, value: str, name: str):
     """Tune, fit and score dataset ``index`` on each of ``args.repeats`` seeds.
 
     ``kind`` is "synthetic" (``value`` names the function) or "csv" (``value``
-    is the path). Returns (twin metrics, krr metrics, timings, error): the
-    metrics of each repeat each model scored, the timings of each repeat that
-    ran to its end, and the error that fails the row, None if none. The rules:
+    is the path); ``name`` is the row's name. Returns (twin metrics, krr
+    metrics, timings, error): the metrics of each repeat each model scored,
+    the timings of each repeat that ran to its end, and the error that fails
+    the row, None if none. The rules:
 
     * the twin model's first error names the row, and the twin model is not
       run again; without ``--with-krr`` the repeats stop there;
     * a data-prep or comparator error stops the dataset at once, and names the
       row unless the twin model failed first;
-    * the caller fills the comparator's cells only when it scored every repeat.
+    * the caller fills the comparator's cells only when it scored every repeat;
+    * a final refit that fails falls back to the next candidates (:func:`_refit`).
 
     A repeat's timings map each phase to its seconds: the twin model's tune,
     fit and predict; data prep (generate or load, split, normalize, privileged
@@ -327,7 +354,7 @@ def _benchmark_dataset(args, grid: GridSpec, index: int, kind: str, value: str):
                 times["tune"] = time.perf_counter() - start
 
                 start = time.perf_counter()
-                model = fit(pi, tuned.best, norm=stats)
+                model = _refit(pi, tuned, stats, f"{name}: repeat {repeat + 1}")
                 times["fit"] = time.perf_counter() - start
 
                 start = time.perf_counter()
@@ -398,7 +425,9 @@ def cmd_benchmark(args) -> int:
     timing_lines = []
 
     for index, ((kind, value), name) in enumerate(zip(specs, names)):
-        twin_all, krr_all, timings, error = _benchmark_dataset(args, grid, index, kind, value)
+        twin_all, krr_all, timings, error = _benchmark_dataset(
+            args, grid, index, kind, value, name
+        )
         krr_cells = []
         if args.with_krr:
             scored = len(krr_all) == args.repeats
@@ -459,10 +488,18 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    model = load_model(_require(args, "model"))
+    path = _require(args, "model")
+    model = load_model(path)
     train = model.train_regular
     if model.hp.kernel is None or model.hp.kernel.kind == "linear":
-        diag = np.sum(train * train, axis=1)
+        # Finite training rows can still square past the float range.
+        with np.errstate(over="ignore"):
+            diag = np.sum(train * train, axis=1)
+        if not np.all(np.isfinite(diag)):
+            raise DataError(
+                f"model file {path} is malformed: its training rows overflow "
+                "the linear kernel diagonal"
+            )
     else:
         diag = np.ones(train.shape[0])
     lipschitz = args.lipschitz

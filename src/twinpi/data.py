@@ -5,15 +5,17 @@ split, train/test splitting, synthetic benchmark generation and lag embedding
 of univariate series. Every operation is pure and deterministic given its
 seeds, so concurrent use on distinct data is safe.
 
-CSV text moves in blocks of rows, so the per-cell work runs inside the
-interpreter's C loops rather than in Python statements. :func:`save_csv`
-turns each block into Python floats with one ``tolist``, formats each with
-``float.__repr__`` and writes the block's text to the open file before it
-formats the next, so the whole table's text is never held at once;
-:func:`load_csv` and :func:`load_series` convert each block of a
-rectangular file with one ``map(float, ...)``. Both give the bytes and
-values a per-cell loop gives; a file that is not rectangular and numeric
-is walked cell by cell for its first error.
+:func:`load_csv` and :func:`load_series` parse a file's data rows with one
+``np.loadtxt`` call, whose C parser gives the floats ``float`` gives cell by
+cell. A file it rejects is walked cell by cell: the walk reads the cells
+``float`` accepts and numpy does not (``1_0``, non-ASCII digits), or names
+the file's first ragged row or non-numeric cell. :func:`save_csv` writes
+text in blocks of rows, so the per-cell work runs inside the interpreter's
+C loops rather than in Python statements: it turns each block into Python
+floats with one ``tolist``, formats each with ``float.__repr__`` and writes
+the block's text to the open file before it formats the next, so the whole
+table's text is never held at once. Its bytes are those a per-cell loop
+writes.
 
 Files are written by :func:`write_atomically`: into a sibling temporary
 file that is renamed onto the target, so a failed or interrupted write
@@ -33,9 +35,9 @@ from typing import Callable
 import numpy as np
 
 
-#: Rows the CSV reader and writer convert at a time. Converting a whole
-#: 20000-row table at once left the process 1.5 MB larger for the rest of the
-#: run (grown allocator arenas); 64 rows kept it flat and ran fastest.
+#: Rows the CSV writer formats at a time. Turning a whole 20000-row table
+#: into Python floats at once left the process 1.5 MB larger for the rest of
+#: the run (grown allocator arenas); 64 rows kept it flat and ran fastest.
 _CSV_BLOCK_ROWS = 64
 
 
@@ -209,7 +211,9 @@ class HeadSplit:
 def _parse_rows(path: str | Path) -> tuple[list[str] | None, np.ndarray]:
     """Read a comma-separated numeric file, auto-detecting a single header line.
 
-    Returns the header (or None) and the float64 data matrix.
+    Returns the header (or None) and the float64 data matrix. The stripped,
+    non-blank data lines are parsed by one ``np.loadtxt``; when it rejects
+    them, :func:`_checked_cells` reads them or raises their first error.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -235,33 +239,20 @@ def _parse_rows(path: str | Path) -> tuple[list[str] | None, np.ndarray]:
         raise DataError(f"{path}: no data rows")
 
     n_cols = data_lines[0].count(",") + 1
-    # float() ignores the whitespace str.strip() removes, so the unstripped
-    # cells of a rectangular file give the stripped cells' values. The one
-    # exception, the separators \x1c-\x1f, makes float() fail here, and such
-    # a file is read by the cell-by-cell walk.
+    # comments=None: numpy's default "#" would read the cell 3#x as 3, which
+    # float() rejects.
     try:
-        values = _bulk_cells(data_lines, n_cols)
+        matrix = np.loadtxt(data_lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        values = _checked_cells(path, data_lines, n_cols)
+        matrix = _checked_cells(path, data_lines, n_cols)
     if header is not None and len(header) != n_cols:
         raise DataError(f"{path}: header has {len(header)} columns, data rows have {n_cols}")
-    return header, np.array(values).reshape(len(data_lines), n_cols)
+    return header, matrix
 
 
-def _bulk_cells(data_lines: list[str], n_cols: int) -> list[float]:
-    """Every cell as a float, ``_CSV_BLOCK_ROWS`` rows per ``map(float, ...)``;
-    ``ValueError`` for a ragged row or a cell ``float`` rejects."""
-    if any(line.count(",") != n_cols - 1 for line in data_lines):
-        raise ValueError("ragged rows")
-    values: list[float] = []
-    for start in range(0, len(data_lines), _CSV_BLOCK_ROWS):
-        values += map(float, ",".join(data_lines[start:start + _CSV_BLOCK_ROWS]).split(","))
-    return values
-
-
-def _checked_cells(path: str | Path, data_lines: list[str], n_cols: int) -> list[float]:
-    """Every cell as a float, in file order; the first ragged row or
-    non-numeric cell raises its :class:`DataError`."""
+def _checked_cells(path: str | Path, data_lines: list[str], n_cols: int) -> np.ndarray:
+    """The cells as a float64 matrix, each read by ``float`` in file order;
+    the first ragged row or non-numeric cell raises its :class:`DataError`."""
     values: list[float] = []
     for i, line in enumerate(data_lines, start=1):
         cells = [c.strip() for c in line.split(",")]
@@ -274,7 +265,7 @@ def _checked_cells(path: str | Path, data_lines: list[str], n_cols: int) -> list
                 raise DataError(
                     f"{path}: non-numeric value {cell!r} at row {i}, column {j}"
                 ) from None
-    return values
+    return np.array(values).reshape(len(data_lines), n_cols)
 
 
 def _resolve_target(header: list[str] | None, n_cols: int, target_column) -> int:
@@ -301,10 +292,9 @@ def load_csv(path: str | Path, target_column: str | int | None = None) -> Datase
     target column defaults to the last one; it may be selected by header
     name or by (0-based) index. Row order is preserved.
 
-    Every cell of a rectangular file is converted by one ``map(float, ...)``
-    per block of rows, which gives the values ``float`` gives cell by cell.
-    A ragged row or a non-numeric cell raises a :class:`DataError` naming the
-    first one in file order.
+    The data rows are parsed by numpy's C parser, which gives the values
+    ``float`` gives cell by cell. A ragged row or a cell ``float`` rejects
+    raises a :class:`DataError` naming the first one in file order.
     """
     header, matrix = _parse_rows(path)
     t = _resolve_target(header, matrix.shape[1], target_column)

@@ -44,7 +44,8 @@ A fit that raises :class:`~twinpi.linalg.NumericalError` leaves its fold
 RMSE empty. A candidate is eligible only if it fitted on every fold: its
 score is then the mean over all k folds, the usual k-fold estimate, rather
 than a mean over whichever folds happened to fit. The eligible candidate of
-least mean wins, the earliest in grid order on ties.
+least mean wins, the earliest in grid order on ties; the same rule orders
+every eligible candidate in :attr:`TuneResult.ranking`.
 """
 
 from __future__ import annotations
@@ -158,12 +159,18 @@ class CandidateResult:
 
 @dataclass(frozen=True)
 class TuneResult:
-    """Selected hyperparameters plus the full candidate table and folds."""
+    """Selected hyperparameters plus the full candidate table and folds.
+
+    ``ranking`` holds the table index of every candidate that fitted on all
+    folds, in selection order: ascending mean RMSE, grid order on ties. Its
+    first entry is ``best_index``.
+    """
 
     best: Hyperparams
     best_index: int
     table: tuple[CandidateResult, ...]
     folds: tuple[np.ndarray, ...]
+    ranking: tuple[int, ...]
 
 
 def _candidate_kernel(spec: GridSpec, rest: tuple[int, ...]) -> KernelSpec | None:
@@ -298,13 +305,11 @@ def _fold_rmses(
     return table
 
 
-def _best(table: list[list[float | None]]) -> int:
-    """The row of least mean among rows with no None (the earliest on ties), else -1."""
-    best, best_rmse = -1, math.inf
-    for pos, rmses in enumerate(table):
-        if None not in rmses and (mean := float(np.mean(rmses))) < best_rmse:
-            best, best_rmse = pos, mean
-    return best
+def _ranking(table: list[list[float | None]]) -> list[int]:
+    """The rows with no None and a mean below inf, by ascending mean (the
+    earliest first on ties): the first is the selected one."""
+    means = {pos: float(np.mean(rmses)) for pos, rmses in enumerate(table) if None not in rmses}
+    return sorted((pos for pos, mean in means.items() if mean < math.inf), key=means.__getitem__)
 
 
 def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
@@ -338,18 +343,19 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
         scored = [r for r in row if r is not None]
         mean_rmse = float(np.mean(scored)) if scored else None
         table.append(CandidateResult(hp, exponents, mean_rmse, len(row) - len(scored), tuple(row)))
-    best_index = _best(rmses)
-    if best_index < 0:
+    ranking = _ranking(rmses)
+    if not ranking:
         failures = sum(r.failed_folds for r in table)
         raise TuningError(
             f"none of the {len(table)} candidates fitted on every fold "
             f"({failures} failed folds total)"
         )
     return TuneResult(
-        best=hps[best_index],
-        best_index=best_index,
+        best=hps[ranking[0]],
+        best_index=ranking[0],
         table=tuple(table),
         folds=tuple(val_idx for _, val_idx in splits),
+        ranking=tuple(ranking),
     )
 
 
@@ -384,7 +390,7 @@ def tune_krr(data: Dataset, spec: GridSpec) -> tuple[float, KernelSpec]:
         lambda train, pos, k: fit_krr_comparator(train, *candidates[pos], k=k),
         KRRModel.predict,
     )
-    best = _best(rmses)
-    if best < 0:
+    ranking = _ranking(rmses)
+    if not ranking:
         raise TuningError("no kernel ridge candidate fitted on every fold")
-    return candidates[best]
+    return candidates[ranking[0]]

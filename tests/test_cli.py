@@ -17,6 +17,7 @@ from support import csv_files, single_blas_thread
 import twinpi.cli
 from twinpi.cli import _csv_text, main, read_config, write_config
 from twinpi.data import DataError, load_csv
+from twinpi.linalg import NumericalError
 from twinpi.metrics import evaluate
 from twinpi.model import load_model, predict
 from twinpi.tuning import TuningError
@@ -583,6 +584,76 @@ def test_benchmark_names_a_data_prep_or_comparator_failure_of_a_fitting_twin_mod
     assert len(calls) == failing_call and len(tunes) == 1
 
 
+def test_benchmark_refits_the_next_candidate_when_the_best_refit_is_rejected(tmp_path, capsys):
+    # At one BLAS thread the gate rejects the refit of this run's best
+    # candidate on all 300 rows, and the second one fits.
+    out = tmp_path / "bench"
+    with single_blas_thread():
+        code = run(["benchmark", "--synthetic", "f4", "--n-train", 300, "--repeats", 1,
+                    "--max-candidates", 64, "--seed", 23760, "--out", out])
+    assert code == 0
+    rows = read_csv_rows(out / "benchmark.csv")
+    assert rows[1][:2] == ["f4", "ok"] and rows[1][-1] == ""
+    assert all(np.isfinite(float(c)) for c in rows[1][2:5])
+    err = capsys.readouterr().err
+    assert err.startswith("f4: repeat 1: the best candidate's refit failed (fit rejected: ")
+    assert err.endswith("; refitted rank 2 of the selection order\n")
+    assert err.count("\n") == 1
+
+
+SMALL_F2 = ["benchmark", "--synthetic", "f2", "--repeats", 1, "--n-train", 40, "--n-test", 20,
+            "--max-candidates", 8, "--grid-lo", -6, "--grid-hi", -2, "--folds", 3]
+
+
+def _rejecting_refits(monkeypatch, rejected):
+    """Make the first ``rejected`` final refits raise; returns the hyperparameters
+    each refit was given and the tuning results."""
+    fit, cross_validate = twinpi.cli.fit, twinpi.cli.cross_validate
+    refits, tunes = [], []
+
+    def rejecting_fit(data, hp, **kwargs):
+        refits.append(hp)
+        if len(refits) <= rejected:
+            raise NumericalError(f"forced rejection {len(refits)}")
+        return fit(data, hp, **kwargs)
+
+    def recorded_cross_validate(*args, **kwargs):
+        tunes.append(cross_validate(*args, **kwargs))
+        return tunes[-1]
+
+    monkeypatch.setattr(twinpi.cli, "fit", rejecting_fit)
+    monkeypatch.setattr(twinpi.cli, "cross_validate", recorded_cross_validate)
+    return refits, tunes
+
+
+def test_benchmark_falls_back_in_the_selection_order(tmp_path, capsys, monkeypatch):
+    refits, tunes = _rejecting_refits(monkeypatch, 1)
+    out = tmp_path / "bench"
+    assert run(SMALL_F2 + ["--out", out]) == 0
+    (tuned,) = tunes
+    assert len(tuned.ranking) >= 3
+    assert refits == [tuned.table[i].hp for i in tuned.ranking[:2]]
+    assert read_csv_rows(out / "benchmark.csv")[1][:2] == ["f2", "ok"]
+    assert capsys.readouterr().err == (
+        "f2: repeat 1: the best candidate's refit failed (forced rejection 1); "
+        "refitted rank 2 of the selection order\n"
+    )
+
+
+def test_benchmark_row_fails_with_the_best_error_after_three_rejected_refits(
+    tmp_path, capsys, monkeypatch
+):
+    refits, tunes = _rejecting_refits(monkeypatch, 3)
+    out = tmp_path / "bench"
+    assert run(SMALL_F2 + ["--out", out]) == 0
+    (tuned,) = tunes
+    assert refits == [tuned.table[i].hp for i in tuned.ranking[:3]]
+    rows = read_csv_rows(out / "benchmark.csv")
+    assert rows[1] == ["f2", "failed", "", "", "", "forced rejection 1"]
+    assert capsys.readouterr().err == "f2: FAILED (forced rejection 1)\n"
+    assert (out / "timing.txt").read_text() == "f2: failed\n"
+
+
 def test_benchmark_quotes_a_dataset_name_with_a_comma(tmp_path):
     data = tmp_path / "a,b.csv"
     run(["synth", "--fn", "f2", "--n-train", 40, "--out", tmp_path / "synth"])
@@ -770,6 +841,23 @@ def test_bounds_command_unit_diagonal(f2_run, capsys):
     gen = float(next(l for l in text.splitlines()
                      if l.startswith("generalization")).split("=")[1])
     assert gen == pytest.approx(0.2 + np.sqrt(np.log(20.0) / 200.0), rel=1e-12)
+
+
+def test_bounds_of_a_linear_model_whose_diagonal_overflows_is_a_data_error(tmp_path, capsys):
+    run(["synth", "--fn", "f2", "--n-train", 6, "--n-test", 5, "--out", tmp_path / "data"])
+    assert run(["fit", "--data", tmp_path / "data" / "train.csv", "--kernel", "linear",
+                "--out", tmp_path / "fit"]) == 0
+    path = tmp_path / "fit" / "model.json"
+    payload = json.loads(path.read_text())
+    payload["train_regular"][0][0] = 1e200  # finite, but its square is not
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    # An overflow warning would fail the test: warnings are errors here.
+    assert run(["bounds", "--model", path, "--lipschitz", 1]) == 2
+    assert capsys.readouterr() == ("", (
+        f"data error: model file {path} is malformed: its training rows overflow "
+        "the linear kernel diagonal\n"
+    ))
 
 
 # ------------------------------------------------------------ config files

@@ -184,6 +184,62 @@ def test_csv_readers_match_the_cell_by_cell_reference(tmp_path_factory, content,
         assert_reads_like_the_reference(path)
 
 
+#: Digit runs with the digit separator and non-ASCII digits among them.
+_DIGITS = st.text(st.sampled_from("0123456789_\u0663\uff11"), min_size=1, max_size=4)
+#: Number-like cells built from signs, mantissas and exponents, many malformed.
+_SYNTAX_NUMBERS = st.tuples(
+    st.sampled_from(["", "+", "-", "--", "+-"]),
+    st.one_of(
+        _DIGITS,
+        st.tuples(_DIGITS, st.just("."), _DIGITS).map("".join),
+        _DIGITS.map("{}.".format),
+        _DIGITS.map(".{}".format),
+    ),
+    st.one_of(
+        st.just(""),
+        st.tuples(st.sampled_from(["e", "E"]), st.sampled_from(["", "+", "-"]),
+                  st.one_of(st.just(""), _DIGITS)).map("".join),
+    ),
+).map("".join)
+#: Spellings of nan and inf, comment and quote characters, empty cells,
+#: signed zeros and the edges of the float range.
+_SYNTAX_SPECIALS = st.sampled_from([
+    "nan", "NaN", "-nan", "+NAN", "nan(1)", "inf", "-Inf", "+INF", "infinity", "-Infinity",
+    "iNfInItY", "infinit", "in f", "", "#", "3#x", "#3", "1 #", "'1'", '"1"', '"1', "0x10",
+    "1e", "e5", ".", "-", "1.2.3", "-0.0", "-0", "0e0", "-0e-5", "5e-324", "-5e-324",
+    "4e-324", "2.225073858507201e-308", "1e-400", "1e400", "-1e308",
+])
+#: Zeros of either sign and subnormals, as ``repr`` writes them.
+_TINY_FLOATS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308).map(repr)
+#: Padding that ``str.strip`` removes around a cell.
+_CELL_PADDING = st.text(st.sampled_from([" ", "\t", "\x1f", "\xa0", "\u3000"]), max_size=2)
+_SYNTAX_CELLS = st.tuples(
+    _CELL_PADDING, st.one_of(_SYNTAX_NUMBERS, _SYNTAX_SPECIALS, _TINY_FLOATS), _CELL_PADDING
+).map("".join)
+
+
+@st.composite
+def float_syntax_files(draw):
+    """Bytes of a rectangular CSV file, under an optional header, whose cells
+    are drawn from a pool of one to three float-syntax cells; a small pool
+    makes files whose every cell parses common."""
+    pool = draw(st.lists(_SYNTAX_CELLS, min_size=1, max_size=3))
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lines = [",".join(f"c{j}" for j in range(n_cols))] if draw(st.booleans()) else []
+    for _ in range(n_rows):
+        lines.append(",".join(draw(st.sampled_from(pool)) for _ in range(n_cols)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return (newline.join(lines) + newline).encode("utf-8")
+
+
+@given(float_syntax_files())
+@settings(max_examples=500, deadline=None)
+def test_csv_readers_match_the_reference_on_float_syntax(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(content)
+    assert_reads_like_the_reference(path)
+
+
 @pytest.mark.parametrize(
     "text, error",
     [

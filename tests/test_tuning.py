@@ -208,6 +208,8 @@ def test_cross_validation_matches_per_candidate_fits():
     assert [r.mean_rmse for r in result.table] == means
     best = min((m, i) for i, m in enumerate(means) if None not in naive[i])[1]
     assert result.best_index == best
+    eligible = [i for i, rmses in enumerate(naive) if None not in rmses]
+    assert list(result.ranking) == sorted(eligible, key=lambda i: (means[i], i))
 
 
 def _bits(rmse):
@@ -347,6 +349,7 @@ def test_candidate_that_failed_a_fold_is_never_selected(monkeypatch):
         r.mean_rmse for r in result.table if r.failed_folds == 0
     )
     assert result.best_index != clean.best_index  # ... but not eligible
+    assert clean.best_index not in result.ranking
     full = [(r.mean_rmse, i) for i, r in enumerate(result.table) if r.failed_folds == 0]
     assert result.best_index == min(full)[1]
 
