@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,10 @@ VALID_KERNEL_KINDS = ("linear", "rbf")
 #: (256 KB); timings were flat within 15% from 2**15 to 2**18 entries and
 #: slower with larger blocks.
 _BLOCK_ENTRIES = 2**15
+
+#: ln(DBL_MIN), about -708.3964: the smallest rbf exponent whose ``exp`` is a
+#: normal float. Below it ``gram`` and ``kernel_eval`` give +0.0.
+_LN_DBL_MIN = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,11 @@ def rbf_width_error(mu: float, name: str) -> str | None:
 
 
 def kernel_eval(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> float:
-    """Evaluate K(x, z): dot(x, z) or exp(-||x - z||^2 / (2 mu^2))."""
+    """Evaluate K(x, z): dot(x, z) or exp(-||x - z||^2 / (2 mu^2)).
+
+    As in ``gram``, an rbf exponent below ``ln(DBL_MIN)`` gives +0.0, not a
+    subnormal float.
+    """
     x = np.asarray(x, dtype=float).ravel()
     z = np.asarray(z, dtype=float).ravel()
     if x.shape != z.shape:
@@ -56,7 +65,26 @@ def kernel_eval(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> float:
     if spec.kind == "linear":
         return float(np.dot(x, z))
     d2 = float(np.sum((x - z) ** 2))
-    return float(np.exp(-d2 / (2.0 * spec.mu**2)))
+    exponent = -d2 / (2.0 * spec.mu**2)
+    return 0.0 if exponent < _LN_DBL_MIN else float(np.exp(exponent))
+
+
+def _lowest_rbf_exponent(a: np.ndarray, b_cols: np.ndarray, mu: float) -> float:
+    """A lower bound on every exponent ``gram(a, b)`` forms at width ``mu``; ``b_cols`` is ``b.T``.
+
+    No column's difference exceeds the width of the range that column spans
+    over both row sets, and every rounded step of an entry's exponent and of
+    this bound (difference, square, left-to-right sum, division) is
+    monotone, so the bound holds for the rounded values too. A width that
+    overflows gives -inf, and NaN inputs give NaN.
+    """
+    if not (a.size and b_cols.size):
+        return 0.0
+    cols = np.concatenate((a.T, b_cols), axis=1)
+    d2 = 0.0
+    for high, low in zip(cols.max(axis=1).tolist(), cols.min(axis=1).tolist()):
+        d2 += (high - low) * (high - low)
+    return d2 / -(2.0 * mu**2)
 
 
 def gram(
@@ -84,6 +112,25 @@ def gram(
     for a width near the smallest ``KernelSpec`` accepts, the entry is
     ``exp(-inf) = 0``, the kernel's limit, and no warning is raised.
 
+    No entry is subnormal: where the scaled exponent is below
+    ``ln(DBL_MIN)`` (about -708.3964) the entry is +0.0 and ``exp`` is not
+    called; every other entry is ``exp`` of its exponent, bit for bit.
+    Narrow widths put many exponents of normalized rows between -745 and
+    -708. On an x86 host a subnormal ``exp`` result cost about fifty times
+    a normal one, and each product that reads a subnormal entry runs on
+    the processor's slow path: at m = 240 (f2 rows, one BLAS thread) the
+    four workspace products took 21 ms at ``mu = 2**-6`` with subnormal
+    entries and 7 ms without, against 1.8 ms at ``2**-4``. Twin outputs
+    keep their bits: every entry of S, H and G'G also gets the ones
+    column's +1, and every twin prediction adds the bias, so a subnormal
+    term is below half an ulp of any sum it enters. Kernel ridge has no
+    bias: at ``mu = 2**-8`` its prediction for a row whose every kernel
+    value was subnormal is now 0.0 instead of a value below 1e-300. The
+    check reads a mask kept in the term scratch, and it is skipped when the
+    column ranges of ``rows_a`` and ``rows_b`` bound every exponent at or
+    above ``ln(DBL_MIN)``, as for normalized rows at ``mu = 0.0625`` and
+    d = 3 (exponents above -384).
+
     ``out``, an n_a x n_b float64 array, receives the result instead of a
     new one. It may be a strided view, such as the first m columns of a
     design G = [Phi | 1]. Such a view is not summed in place: numpy runs
@@ -97,7 +144,9 @@ def gram(
     ``rows_b``'s columns and one block of ``_BLOCK_ENTRIES`` entries (or one
     row of n_b): the term scratch, or with a strided ``out`` the scratch and
     the buffer at half a block each (or one row each). That holds whatever
-    the feature count d; no n_a x n_b x d array is formed.
+    the feature count d; no n_a x n_b x d array is formed. The rbf range
+    check copies both inputs' columns, (n_a + n_b) x d entries, and drops
+    them before the block is allocated.
     """
     a = np.atleast_2d(np.asarray(rows_a, dtype=float))
     b = np.atleast_2d(np.asarray(rows_b, dtype=float))
@@ -111,6 +160,7 @@ def gram(
             f"gram output must be float64 of shape {(n_a, n_b)}, got {out.dtype} {out.shape}"
         )
     b_cols = np.ascontiguousarray(b.T)
+    flush = spec.kind == "rbf" and not _lowest_rbf_exponent(a, b_cols, spec.mu) >= _LN_DBL_MIN
     step = max(1, _BLOCK_ENTRIES // max(n_b, 1))
     # A strided output is summed in a contiguous buffer and copied over, with
     # half the row step, so buffer and scratch fill one block between them.
@@ -121,6 +171,10 @@ def gram(
     buffer = None if contiguous else np.empty_like(scratch)
     zero_start = spec.kind == "linear" or not len(b_cols)
     rbf_limit = np.errstate(over="ignore") if spec.kind == "rbf" else contextlib.nullcontext()
+    # The term scratch, free once a block is summed, holds its normal entries' mask.
+    normal = None
+    if flush:
+        normal = scratch.reshape(-1).view(np.bool_)[: scratch.size].reshape(scratch.shape)
     with rbf_limit:
         for start in range(0, n_a, step):
             rows = out[start:start + step]
@@ -140,7 +194,13 @@ def gram(
                     acc += term
             if spec.kind == "rbf":
                 acc /= -(2.0 * spec.mu**2)
-                np.exp(acc, out=acc)
+                if normal is None:
+                    np.exp(acc, out=acc)
+                else:
+                    mask = normal[: acc.shape[0]]
+                    np.greater_equal(acc, _LN_DBL_MIN, out=mask)
+                    np.exp(acc, out=acc, where=mask)
+                    np.copyto(acc, 0.0, where=np.logical_not(mask, out=mask))
             if buffer is not None:
                 np.copyto(rows, acc)
     return out

@@ -376,8 +376,11 @@ def test_an_edited_model_file_loads_or_is_a_data_error(lean_model_file, tmp_path
     payload, test_csv = lean_model_file
     payload = json.loads(json.dumps(payload))  # a deep copy to edit
     for edit in edits:
-        # an edit of a key an earlier edit deleted or swapped has nothing to edit
-        with contextlib.suppress(KeyError, TypeError, AttributeError, ZeroDivisionError):
+        # an edit of a key an earlier edit deleted or swapped, or of the first
+        # row of a training array an earlier edit emptied, has nothing to edit
+        with contextlib.suppress(
+            KeyError, TypeError, AttributeError, ZeroDivisionError, IndexError
+        ):
             _edit_model_payload(payload, edit)
     path = tmp_path_factory.mktemp("edited") / "model.json"
     path.write_text(json.dumps(payload))

@@ -175,13 +175,12 @@ def assert_reads_like_the_reference(path):
         assert got == want
 
 
-@given(csv_files(), st.sampled_from([1, 2, data_module._CSV_BLOCK_ROWS]))
+@given(csv_files())
 @settings(max_examples=300, deadline=None)
-def test_csv_readers_match_the_cell_by_cell_reference(tmp_path_factory, content, block_rows):
+def test_csv_readers_match_the_cell_by_cell_reference(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_bytes(content)
-    with mock.patch.object(data_module, "_CSV_BLOCK_ROWS", block_rows):
-        assert_reads_like_the_reference(path)
+    assert_reads_like_the_reference(path)
 
 
 #: Digit runs with the digit separator and non-ASCII digits among them.

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -12,13 +13,21 @@ from support import BLAS_THREADS, at_blas_threads
 from twinpi import kernels
 from twinpi.kernels import KernelSpec, gram, kernel_eval
 
+DBL_MIN = sys.float_info.min
+
+
+def without_subnormals(k):
+    """``k`` with every entry below DBL_MIN, as plain ``np.exp`` gives it, set to +0.0."""
+    k[k < DBL_MIN] = 0.0
+    return k
+
 
 def broadcast_gram(a, b, spec):
     """Reference: the pairwise n_a x n_b x d broadcast, reduced over d."""
     if spec.kind == "linear":
         return np.sum(a[:, None, :] * b[None, :, :], axis=-1)
     d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    return np.exp(-d2 / (2.0 * spec.mu**2))
+    return without_subnormals(np.exp(-d2 / (2.0 * spec.mu**2)))
 
 
 def sequential_gram(a, b, spec):
@@ -32,6 +41,7 @@ def sequential_gram(a, b, spec):
     if spec.kind == "rbf":
         acc /= -(2.0 * spec.mu**2)
         np.exp(acc, out=acc)
+        without_subnormals(acc)
     return acc
 
 
@@ -68,6 +78,38 @@ def test_rbf_at_zero_distance_is_exactly_one():
     x = np.array([0.3, -1.2, 7.0])
     for mu in (0.1, 1.0, 42.0):
         assert kernel_eval(x, x, KernelSpec("rbf", mu=mu)) == 1.0
+
+
+def _rows_at_squared_distance(d2):
+    """Rows 0 and (x, y) whose squared distance, summed as ``gram`` sums it, is d2."""
+    for k in range(8):
+        y = k * 2.0**-26  # y * y is exact
+        x = math.sqrt(d2 - y * y)
+        for x in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
+            if x * x + y * y == d2:
+                return np.zeros((1, 2)), np.array([[x, y]])
+    raise AssertionError(f"no two-column rows at squared distance {d2!r}")
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_an_rbf_exponent_below_ln_dbl_min_gives_zero(below):
+    # at mu = 2**-5 the exponent is exactly -512 d2; ln(DBL_MIN) itself gives
+    # a normal entry, the next float below it +0.0 where exp is subnormal.
+    # A far row makes gram check every exponent, not only those its column
+    # ranges cannot bound.
+    exponent = math.log(DBL_MIN)
+    if below:
+        exponent = math.nextafter(exponent, -math.inf)
+        assert 0.0 < math.exp(exponent) < DBL_MIN
+    a, b = _rows_at_squared_distance(exponent / -512.0)
+    spec = KernelSpec("rbf", mu=2.0**-5)
+    want = 0.0 if below else float(np.exp(exponent))
+    assert below or want >= DBL_MIN
+    with_far = np.vstack([b, [[3.0, 3.0]]])
+    values = [gram(a, rows, spec)[0, 0] for rows in (b, with_far)]
+    values += [gram(rows, a, spec)[0, 0] for rows in (b, with_far)]
+    for value in values + [kernel_eval(a, b, spec)]:
+        assert value == want and not math.copysign(1.0, value) < 0
 
 
 def test_rbf_hand_value():
@@ -221,6 +263,7 @@ def test_gram_equals_the_zero_started_sum_bitwise_for_any_blocking(
         else:
             got = gram(a, b, spec)
     assert bitwise_equal(got, sequential_gram(a, b, spec))
+    assert spec.kind == "linear" or not ((0.0 < got) & (got < DBL_MIN)).any()
 
 
 def test_gram_without_feature_columns():

@@ -2,8 +2,10 @@ import itertools
 import json
 import math
 import pathlib
+import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,10 +27,12 @@ from twinpi.data import (
     NoiseSpec,
     NormStats,
     PIDataset,
+    apply_norm,
     gen_synthetic,
     min_max_normalize,
     split_privileged,
 )
+import twinpi.kernels
 from twinpi.kernels import KernelSpec, gram
 import twinpi.linalg
 from twinpi.linalg import NumericalError, _plus_diagonal, solve_checked
@@ -988,6 +992,45 @@ def test_fit_carries_the_residuals_its_gate_checked(threads, tmp_path):
     save_model(model, path)
     back = load_model(path)
     assert back.kkt is None and "kkt" not in path.read_text(encoding="utf-8")
+
+
+def _unflushed_gram(rows_a, rows_b, spec, out=None):
+    """``gram`` with plain ``np.exp`` everywhere: entries below DBL_MIN stay subnormal."""
+    with mock.patch.object(twinpi.kernels, "_LN_DBL_MIN", -math.inf):
+        return gram(rows_a, rows_b, spec, out=out)
+
+
+@pytest.mark.parametrize("mu", [2.0**-8, 2.0**-6])
+def test_flushing_subnormal_gram_entries_changes_no_fit_bit(mu, monkeypatch):
+    # each S, H and G'G entry adds the ones column's +1 and each prediction
+    # the bias, so a subnormal kernel value is below half an ulp of every
+    # sum it enters; the ridge system adds the ridge to the diagonal
+    train, test = gen_synthetic("f2", 240, 100, NoiseSpec("uniform_pm02", seed=1), seed=0)
+    train, stats = min_max_normalize(train)
+    data = split_privileged(train)
+    x = apply_norm(test, stats).features[:, : data.regular.shape[1]]
+    kernel = KernelSpec("rbf", mu=mu)
+    untied = Hyperparams(c1=1.0, c2=4.0, c3=2.0, c4=0.5, c5=4.0, c6=2.0, kernel=kernel)
+    candidates = [replace(untied, c4=1.0), untied]
+
+    def outcomes():
+        got = []
+        for hp in candidates:
+            for ws in (None, build_workspace(data, hp)):
+                model = fit(data, hp, ws=ws)
+                got += [model.v1, model.v2, np.array(astuple(model.kkt)), predict(model, x)]
+        krr = fit_krr_comparator(Dataset(data.regular, data.targets), 1.0, kernel)
+        return got + [krr.coef]
+
+    flushed = outcomes()
+    monkeypatch.setattr(twinpi.model, "gram", _unflushed_gram)
+    for rows in (data.regular, data.privileged):
+        k = _unflushed_gram(rows, rows, kernel)
+        assert ((0.0 < k) & (k < sys.float_info.min)).any()
+    unflushed = outcomes()
+    assert len(flushed) == len(unflushed)
+    for got, want in zip(flushed, unflushed):
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- ridge comparator
