@@ -17,7 +17,6 @@ from .data import (
     NormStats,
     PIDataset,
     RatioSplit,
-    apply_norm,
     gen_synthetic,
     lag_embed,
     load_csv,
@@ -26,7 +25,7 @@ from .data import (
     split_privileged,
     train_test_split,
 )
-from .kernels import KernelSpec, gram, kernel_eval
+from .kernels import KernelSpec, gram
 from .linalg import LUFactors, NumericalError, solve_checked
 from .metrics import Metrics, aggregate_mean, evaluate
 from .model import (
@@ -67,9 +66,7 @@ from .tuning import (
     TuneResult,
     TuningError,
     cross_validate,
-    export_tune_csv,
     kfold_indices,
-    make_grid,
     tune_krr,
 )
 

@@ -596,7 +596,9 @@ def build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
                          help="CSV: header of model names, first column dataset names")
     stats_p.add_argument("--direction", choices=["lower", "higher"], default="lower",
                          help="whether lower scores are better")
-    stats_p.add_argument("--q-alpha", type=float, default=2.850)
+    stats_p.add_argument("--q-alpha", type=float, default=None,
+                         help="Nemenyi q_alpha (default: the 5%% value for the table's "
+                              "model count, 2 to 10 models)")
     stats_p.add_argument("--f-critical", type=float, default=None,
                          help="externally supplied F critical value to compare against")
     stats_p.add_argument("--out", default=None, help="output directory for report files")

@@ -393,20 +393,6 @@ def min_max_normalize(data: Dataset) -> tuple[Dataset, NormStats]:
     return Dataset(scaled_features, scaled_targets, data.feature_names), stats
 
 
-def apply_norm(data: Dataset, stats: NormStats) -> Dataset:
-    """Apply training min/max to another dataset (no clipping outside [0, 1])."""
-    if data.n_features != stats.n_feature_columns:
-        raise DataError(
-            f"dataset has {data.n_features} feature columns but stats cover "
-            f"{stats.n_feature_columns}"
-        )
-    return Dataset(
-        stats.transform_features(data.features),
-        stats.transform_targets(data.targets),
-        data.feature_names,
-    )
-
-
 def split_privileged(data: Dataset) -> PIDataset:
     """Split features into a regular and a privileged block.
 

@@ -17,7 +17,7 @@ VALID_KERNEL_KINDS = ("linear", "rbf")
 _BLOCK_ENTRIES = 2**15
 
 #: ln(DBL_MIN), about -708.3964: the smallest rbf exponent whose ``exp`` is a
-#: normal float. Below it ``gram`` and ``kernel_eval`` give +0.0.
+#: normal float. Below it ``gram`` gives +0.0.
 _LN_DBL_MIN = math.log(sys.float_info.min)
 
 
@@ -50,23 +50,6 @@ def rbf_width_error(mu: float, name: str) -> str | None:
     if not 0.0 < 2.0 * (mu * mu) < math.inf:  # mu * mu gives inf where mu**2 would raise
         return f"{name} = {mu} is out of range: 2 mu**2 must be a positive finite float"
     return None
-
-
-def kernel_eval(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> float:
-    """Evaluate K(x, z): dot(x, z) or exp(-||x - z||^2 / (2 mu^2)).
-
-    As in ``gram``, an rbf exponent below ``ln(DBL_MIN)`` gives +0.0, not a
-    subnormal float.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    if x.shape != z.shape:
-        raise ValueError(f"kernel arguments differ in length: {x.shape[0]} vs {z.shape[0]}")
-    if spec.kind == "linear":
-        return float(np.dot(x, z))
-    d2 = float(np.sum((x - z) ** 2))
-    exponent = -d2 / (2.0 * spec.mu**2)
-    return 0.0 if exponent < _LN_DBL_MIN else float(np.exp(exponent))
 
 
 def _lowest_rbf_exponent(a: np.ndarray, b_cols: np.ndarray, mu: float) -> float:

@@ -465,14 +465,15 @@ def _gate(
 
 
 def _linear_row_limit(data: PIDataset, hp: Hyperparams) -> str | None:
-    """Why a linear-variant fit on ``data`` must fail, or None if it need not.
+    """Why a linear-variant or identity-kernel fit on ``data`` must fail, or None if it need not.
 
     G = [X | 1] and G* = [X* | 1] share their constant column, so [G, G*]
     spans at most d_regular + d_privileged + 1 dimensions, and the equality
-    constraint needs it to span R^m.
+    constraint needs it to span R^m. The identity kernel's G = [X X' | 1]
+    has the column space of [X | 1] at most, so the same bound holds.
     """
     span = data.regular.shape[1] + data.privileged.shape[1] + 1
-    if hp.kernel is not None or data.n_samples <= span:
+    if (hp.kernel is not None and hp.kernel.kind != "linear") or data.n_samples <= span:
         return None
     return (
         f"the {data.n_samples} training rows exceed rank[G, G*] <= "
@@ -588,8 +589,9 @@ def fit(
     side factors or recovers anything, so a rejected fit there costs about
     half an accepted one. The message names the side and the residual
     (stationarity, correcting or feasibility) that failed. A failed
-    linear-variant fit with more training rows than d_regular +
-    d_privileged + 1 also says that the rows exceed the rank of [G, G*].
+    linear-variant or identity-kernel fit with more training rows than
+    d_regular + d_privileged + 1 also says that the rows exceed the rank of
+    [G, G*].
 
     ``norm`` is not applied here; training data is expected to be already
     normalized by the caller, and the stats ride along for prediction time.

@@ -3,8 +3,9 @@
 Implements the Friedman chi-square statistic, its F-distributed refinement,
 and the Nemenyi critical difference for pairwise post-hoc comparison
 (Demšar, JMLR 2006). Ranking needs numpy only. No distribution quantiles
-are computed here; the caller supplies the critical value to compare
-against.
+are computed here: the Nemenyi q_alpha defaults to Demšar's tabulated 5%
+value for the model count, and the caller supplies the F critical value to
+compare against.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from .data import DataError
 
 DIRECTIONS = ("lower_better", "higher_better")
 
-#: Studentized-range quantile q_alpha for six models at the 5% level.
-DEFAULT_Q_ALPHA = 2.850
+#: Nemenyi q_alpha at the 5% level by model count (Demšar 2006, Table 5a):
+#: the studentized-range quantile divided by sqrt(2).
+Q_ALPHA_05 = {
+    2: 1.960, 3: 2.343, 4: 2.569, 5: 2.728, 6: 2.850, 7: 2.949, 8: 3.031, 9: 3.102, 10: 3.164,
+}
 
 
 @dataclass(frozen=True)
@@ -139,10 +143,25 @@ def friedman(avg_ranks: np.ndarray, n: int, l: int) -> FriedmanResult:
     return FriedmanResult(chi2, f_f, l - 1, (l - 1, (l - 1) * (n - 1)), False)
 
 
-def nemenyi_cd(l: int, n: int, q_alpha: float = DEFAULT_Q_ALPHA) -> float:
-    """Critical difference cd = q_alpha * sqrt(l (l + 1) / (6 n))."""
+def _default_q_alpha(l: int) -> float:
+    """The 5%-level q_alpha for l models, ``Q_ALPHA_05[l]``; beyond 10 models there is none."""
+    if l not in Q_ALPHA_05:
+        raise ValueError(
+            f"no default q_alpha for {l} models: the 5% table covers 2 to 10 models; "
+            f"give q_alpha (--q-alpha)"
+        )
+    return Q_ALPHA_05[l]
+
+
+def nemenyi_cd(l: int, n: int, q_alpha: float | None = None) -> float:
+    """Critical difference cd = q_alpha * sqrt(l (l + 1) / (6 n)).
+
+    ``q_alpha`` defaults to ``_default_q_alpha(l)``.
+    """
     if l < 2 or n < 2:
         raise ValueError(f"need l >= 2 and n >= 2, got l={l}, n={n}")
+    if q_alpha is None:
+        q_alpha = _default_q_alpha(l)
     if not q_alpha > 0:
         raise ValueError(f"q_alpha must be positive, got {q_alpha}")
     return q_alpha * float(np.sqrt(l * (l + 1) / (6.0 * n)))
@@ -161,10 +180,15 @@ def significance_table(avg_ranks: np.ndarray, cd: float) -> np.ndarray:
 
 def compute_report(
     table: ScoreTable,
-    q_alpha: float = DEFAULT_Q_ALPHA,
+    q_alpha: float | None = None,
     f_critical: float | None = None,
 ) -> StatsReport:
-    """Rank the table and run the Friedman test plus Nemenyi post-hoc."""
+    """Rank the table and run the Friedman test plus Nemenyi post-hoc.
+
+    ``q_alpha`` defaults to ``_default_q_alpha`` of the table's model count.
+    """
+    if q_alpha is None:
+        q_alpha = _default_q_alpha(table.n_models)
     ranks, avg = rank_rows(table)
     fr = friedman(avg, table.n_datasets, table.n_models)
     cd = nemenyi_cd(table.n_models, table.n_datasets, q_alpha)

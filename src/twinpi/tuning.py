@@ -1,10 +1,12 @@
 """Grid-search hyperparameter selection with k-fold cross-validation.
 
-The grid is a Cartesian product over base-2 exponents. With parameter tying
-(the default) the two bound sides share their three regularization weights,
-so a kernel grid has four axes (c1, c2, c3, mu) and a linear one has three.
-Candidates are ordered lexicographically by exponent tuple, and a stride
-subsample over that order keeps desk-scale runs tractable.
+The grid is a Cartesian product over base-2 exponents. The two bound sides
+share their three regularization weights (c4, c5, c6) = (c1, c2, c3), so an
+rbf grid has four axes (c1, c2, c3, mu) and a linear feature-space one has
+three. Candidates are ordered lexicographically by exponent tuple, and a
+stride subsample over that order keeps desk-scale runs tractable. Untied
+weights and the identity kernel are fitted by :func:`~twinpi.model.fit`
+alone; no grid searches them.
 
 Both searches, the twin model's (:func:`cross_validate`) and the kernel
 ridge comparator's (:func:`tune_krr`), run one fold loop and one selection
@@ -53,11 +55,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, PIDataset, write_text_atomically
+from .data import Dataset, PIDataset
 from .kernels import KernelSpec, rbf_width_error
 from .linalg import NumericalError
 from .metrics import evaluate
@@ -91,9 +92,9 @@ _EXPONENTS = range(sys.float_info.min_exp - sys.float_info.mant_dig, sys.float_i
 class GridSpec:
     """Search space and cross-validation protocol.
 
-    ``kernel`` is "rbf", "linear" (identity-kernel variant) or None for the
-    linear feature-space variant; only "rbf" adds a width axis, which
-    ``pin_mu`` removes again by fixing the width (with any other kernel,
+    Every candidate ties (c4, c5, c6) to (c1, c2, c3). ``kernel`` is "rbf" or
+    None for the linear feature-space variant; "rbf" adds a width axis, which
+    ``pin_mu`` removes again by fixing the width (with ``kernel=None``,
     ``pin_mu`` is an error).
     """
 
@@ -101,7 +102,6 @@ class GridSpec:
     c_hi: int = 8
     mu_lo: int = -8
     mu_hi: int = 8
-    tie_params: bool = True
     eps: float = 0.01
     folds: int = 5
     seed: int = 0
@@ -119,8 +119,8 @@ class GridSpec:
             )
         if self.folds < 2:
             raise ValueError(f"folds must be at least 2, got {self.folds}")
-        if self.kernel not in (None, "linear", "rbf"):
-            raise ValueError(f"kernel must be None, 'linear' or 'rbf', got {self.kernel!r}")
+        if self.kernel not in (None, "rbf"):
+            raise ValueError(f"kernel must be None or 'rbf', got {self.kernel!r}")
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError("max_candidates must be positive when given")
         if self.pin_mu is not None:
@@ -151,7 +151,6 @@ class CandidateResult:
     """
 
     hp: Hyperparams
-    exponents: tuple[int, ...]
     mean_rmse: float | None
     failed_folds: int
     fold_rmses: tuple[float | None, ...] = ()
@@ -175,25 +174,17 @@ class TuneResult:
 
 def _candidate_kernel(spec: GridSpec, rest: tuple[int, ...]) -> KernelSpec | None:
     # ``rest`` holds the exponents after the regularization axes.
-    if spec.kernel == "linear":
-        return KernelSpec("linear")
-    if spec.kernel == "rbf":
-        mu = spec.pin_mu if spec.pin_mu is not None else 2.0 ** rest[0]
-        return KernelSpec("rbf", mu=mu)
-    return None
+    if spec.kernel is None:
+        return None
+    mu = spec.pin_mu if spec.pin_mu is not None else 2.0 ** rest[0]
+    return KernelSpec("rbf", mu=mu)
 
 
 def _candidate_hp(spec: GridSpec, exponents: tuple[int, ...]) -> Hyperparams:
-    if spec.tie_params:
-        c1, c2, c3 = (2.0**e for e in exponents[:3])
-        c4, c5, c6 = c1, c2, c3
-        rest = exponents[3:]
-    else:
-        c1, c2, c3, c4, c5, c6 = (2.0**e for e in exponents[:6])
-        rest = exponents[6:]
+    c1, c2, c3 = (2.0**e for e in exponents[:3])
     return Hyperparams(
-        c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6,
-        eps1=spec.eps, eps2=spec.eps, kernel=_candidate_kernel(spec, rest),
+        c1=c1, c2=c2, c3=c3, c4=c1, c5=c2, c6=c3,
+        eps1=spec.eps, eps2=spec.eps, kernel=_candidate_kernel(spec, exponents[3:]),
     )
 
 
@@ -214,15 +205,6 @@ def _unrank(index: int, sizes: list[int]) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def make_grid(spec: GridSpec) -> list[Hyperparams]:
-    """Candidates in deterministic lexicographic order by exponent tuple.
-
-    With ``max_candidates`` set, an even stride over that order is taken
-    instead of the full product.
-    """
-    return [hp for hp, _ in _grid_candidates(spec)]
-
-
 def _grid_points(axes: list[list[int]], max_candidates: int | None) -> list[tuple[int, ...]]:
     """Exponent tuples over ``axes`` in lexicographic order, stride-subsampled."""
     sizes = [len(a) for a in axes]
@@ -241,11 +223,15 @@ def _grid_points(axes: list[list[int]], max_candidates: int | None) -> list[tupl
     ]
 
 
-def _grid_candidates(spec: GridSpec) -> list[tuple[Hyperparams, tuple[int, ...]]]:
-    axes = _grid_axes(spec, 3 if spec.tie_params else 6)
+def _grid_candidates(spec: GridSpec) -> list[Hyperparams]:
+    """Candidates in deterministic lexicographic order by exponent tuple.
+
+    With ``max_candidates`` set, an even stride over that order is taken
+    instead of the full product.
+    """
     return [
-        (_candidate_hp(spec, exponents), exponents)
-        for exponents in _grid_points(axes, spec.max_candidates)
+        _candidate_hp(spec, exponents)
+        for exponents in _grid_points(_grid_axes(spec, 3), spec.max_candidates)
     ]
 
 
@@ -321,17 +307,16 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
     among those that fitted on every fold; ties break toward the earliest
     candidate in grid order.
     """
-    candidates = _grid_candidates(spec)
+    hps = _grid_candidates(spec)
     splits = _fold_splits(data.n_samples, spec)
     # A linear-variant fit on more rows than [G, G*] can span must fail, so
     # a fold that large fails every candidate: say why before fitting any.
     for fold, (train_idx, _) in enumerate(splits):
-        limit = _linear_row_limit(data.subset(train_idx), candidates[0][0])
+        limit = _linear_row_limit(data.subset(train_idx), hps[0])
         if limit is not None:
             raise TuningError(
-                f"none of the {len(candidates)} candidates can fit fold {fold + 1}: {limit}"
+                f"none of the {len(hps)} candidates can fit fold {fold + 1}: {limit}"
             )
-    hps = [hp for hp, _ in candidates]
     rmses = _fold_rmses(
         splits, [hp.kernel for hp in hps], data.subset, data.regular, data.targets,
         lambda train, pos, ws: build_workspace(train, hps[pos], reuse=ws),
@@ -339,10 +324,10 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
         predict,
     )
     table = []
-    for (hp, exponents), row in zip(candidates, rmses):
+    for hp, row in zip(hps, rmses):
         scored = [r for r in row if r is not None]
         mean_rmse = float(np.mean(scored)) if scored else None
-        table.append(CandidateResult(hp, exponents, mean_rmse, len(row) - len(scored), tuple(row)))
+        table.append(CandidateResult(hp, mean_rmse, len(row) - len(scored), tuple(row)))
     ranking = _ranking(rmses)
     if not ranking:
         failures = sum(r.failed_folds for r in table)
@@ -357,18 +342,6 @@ def cross_validate(data: PIDataset, spec: GridSpec) -> TuneResult:
         folds=tuple(val_idx for _, val_idx in splits),
         ranking=tuple(ranking),
     )
-
-
-def export_tune_csv(result: TuneResult, path: str | Path) -> None:
-    """One row per candidate: exponent tuple, mean validation RMSE, failed folds."""
-    width = max(len(r.exponents) for r in result.table)
-    header = [f"exp{i + 1}" for i in range(width)] + ["mean_rmse", "failed_folds"]
-    lines = [",".join(header)]
-    for r in result.table:
-        exps = [str(e) for e in r.exponents] + [""] * (width - len(r.exponents))
-        rmse = "" if r.mean_rmse is None else repr(float(r.mean_rmse))
-        lines.append(",".join(exps + [rmse, str(r.failed_folds)]))
-    write_text_atomically(path, "\n".join(lines) + "\n")
 
 
 def tune_krr(data: Dataset, spec: GridSpec) -> tuple[float, KernelSpec]:

@@ -1,7 +1,10 @@
-"""Shared test helpers: random well-posed training instances for cross-checks."""
+"""Shared test helpers: random well-posed training instances for cross-checks,
+and a scalar kernel reference."""
 
 import contextlib
 import ctypes
+import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -73,6 +76,24 @@ def draw_well_posed(rng, kernel_kind):
 def rel_err(a, b):
     """Infinity-norm difference scaled by 1 + the reference magnitude."""
     return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))))
+
+
+#: ln(DBL_MIN): an rbf exponent below it has a subnormal ``exp``.
+_LN_DBL_MIN = math.log(sys.float_info.min)
+
+
+def kernel_eval(x, z, spec):
+    """Scalar reference for one ``gram`` entry: dot(x, z) or exp(-||x - z||^2 / (2 mu^2)).
+
+    As in ``gram``, an rbf exponent below ln(DBL_MIN) gives +0.0, not a
+    subnormal float.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    z = np.asarray(z, dtype=float).ravel()
+    if spec.kind == "linear":
+        return float(np.dot(x, z))
+    exponent = -float(np.sum((x - z) ** 2)) / (2.0 * spec.mu**2)
+    return 0.0 if exponent < _LN_DBL_MIN else float(np.exp(exponent))
 
 
 @contextlib.contextmanager

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -19,7 +20,7 @@ from twinpi.cli import _csv_text, main, read_config, write_config
 from twinpi.data import DataError, load_csv
 from twinpi.linalg import NumericalError
 from twinpi.metrics import evaluate
-from twinpi.model import load_model, predict
+from twinpi.model import load_model, predict, save_model
 from twinpi.tuning import TuningError
 
 
@@ -816,6 +817,41 @@ def test_stats_identical_scores_degenerate(tmp_path, capsys):
     assert "a vs b: no" in text
 
 
+#: sse/sst of the twin model and kernel ridge on f1-f4: kernel ridge ranks
+#: first on every dataset, a rank gap of 1.0.
+TWIN_VS_KRR = "dataset,twin,krr\nf1,4.89,0.99\nf2,0.76,0.49\nf3,3.19,1.00\nf4,0.36,0.27\n"
+
+
+@pytest.mark.parametrize("flags, cd, verdict", [
+    ([], "0.9800 (q_alpha = 1.96)", "yes"),
+    (["--q-alpha", 2.850], "1.4250 (q_alpha = 2.85)", "no"),
+])
+def test_stats_default_q_alpha_is_the_two_model_value(tmp_path, capsys, flags, cd, verdict):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(TWIN_VS_KRR)
+    assert run(["stats", "--scores", scores, *flags, "--out", tmp_path / "report"]) == 0
+    text = capsys.readouterr().out
+    assert f"nemenyi cd = {cd}\n" in text
+    assert text.endswith(f"twin vs krr: {verdict}\n")
+    assert (tmp_path / "report" / "report.txt").read_text() == text
+
+
+def test_stats_past_ten_models_needs_q_alpha(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    names = [f"m{i}" for i in range(11)]
+    rows = [",".join(["dataset", *names])]
+    rows += [",".join([f"d{r}", *(str((r * 7 + i) % 11) for i in range(11))]) for r in range(3)]
+    scores.write_text("\n".join(rows) + "\n")
+    assert run(["stats", "--scores", scores, "--out", tmp_path / "report"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "configuration error: no default q_alpha for 11 models: the 5% table covers "
+        "2 to 10 models; give q_alpha (--q-alpha)\n"
+    )
+    assert not (tmp_path / "report").exists()
+    assert run(["stats", "--scores", scores, "--q-alpha", 3.2]) == 0
+
+
 def test_stats_malformed_table_is_data_error(tmp_path):
     scores = tmp_path / "bad.csv"
     scores.write_text("dataset,a,b\nd1,oops,1.0\nd2,1.0,1.0\n")
@@ -1094,3 +1130,117 @@ def test_config_values_are_converted_like_flags(tmp_path):
     from_config = (tmp_path / "config" / "model.json").read_bytes()
     assert from_config == (tmp_path / "flags" / "model.json").read_bytes()
     assert json.loads(from_config)["hyperparams"]["kernel"] is None
+
+
+# --------------------------------------------------------- input boundaries
+
+
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    return err
+
+
+def test_fit_selects_the_target_by_name_or_by_index(tmp_path):
+    data_dir = tmp_path / "data"
+    assert run(["synth", "--fn", "f2", "--seed", 0, "--out", data_dir]) == 0
+    models = {}
+    for target in (None, "y", "5", "-1", "x1", "0", " x1 "):
+        flags = [] if target is None else ["--target", target]
+        out = tmp_path / f"fit{len(models)}"
+        assert run(["fit", "--data", data_dir / "train.csv", "--mu", 0.125, *flags,
+                    "--out", out]) == 0
+        models[target] = (out / "model.json").read_bytes()
+    assert models["y"] == models["5"] == models["-1"] == models[None]
+    assert models["x1"] == models["0"] == models[" x1 "] != models[None]
+
+
+@pytest.mark.parametrize("target, message", [
+    ("6", "target column index 6 out of range for 6 columns"),
+    ("-7", "target column index -7 out of range for 6 columns"),
+    ("zz", "target column 'zz' not found in header ['x1', 'x2', 'x3', 'x4', 'x5', 'y']"),
+])
+def test_fit_target_outside_the_file_is_a_data_error(tmp_path, capsys, target, message):
+    data_dir = tmp_path / "data"
+    assert run(["synth", "--fn", "f2", "--seed", 0, "--out", data_dir]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run(["fit", "--data", data_dir / "train.csv", "--target", target, "--out", out]) == 2
+    assert _one_line_error(capsys, "data error: ") == f"data error: {message}\n"
+    assert not (out / "model.json").exists()
+
+
+def test_fit_target_by_name_in_a_file_without_a_header_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "plain.csv"
+    data.write_text("0,0,0\n1,2,1\n2,3,2\n")
+    assert run(["fit", "--data", data, "--target", "y", "--out", tmp_path / "o"]) == 2
+    assert _one_line_error(capsys, "data error: ") == (
+        "data error: target column 'y' requested but file has no header\n"
+    )
+
+
+def test_benchmark_with_zero_repeats_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["benchmark", "--synthetic", "f2", "--repeats", 0, "--out", out]) == 1
+    assert _one_line_error(capsys, "usage error: ") == (
+        "usage error: --repeats must be at least 1\n"
+    )
+    assert not out.exists()
+
+
+def test_config_line_without_equals_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# a comment\nfn f1\n")
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert _one_line_error(capsys, "usage error: ") == (
+        f"usage error: {cfg}: line 2 is not a 'key = value' pair: 'fn f1'\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = _one_line_error(capsys, f"usage error: cannot read config {cfg}: ")
+    assert "No such file or directory" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, content, prefix", [
+    ("missing.json", None, "cannot read model file {path}: "),
+    ("broken.json", '{"format": ', "model file {path} is not valid JSON: "),
+])
+def test_eval_of_an_unreadable_or_invalid_model_file_is_a_data_error(
+    f2_run, capsys, name, content, prefix
+):
+    data_dir, fit_dir = f2_run
+    path = fit_dir / name
+    if content is not None:
+        path.write_text(content)
+    capsys.readouterr()
+    assert run(["eval", "--model", path, "--data", data_dir / "test.csv"]) == 2
+    _one_line_error(capsys, "data error: " + prefix.format(path=path))
+    with pytest.raises(DataError, match=re.escape(prefix.format(path=path))):
+        load_model(path)
+
+
+def test_eval_on_too_few_feature_columns_is_a_data_error(f2_run, tmp_path, capsys):
+    data_dir, fit_dir = f2_run
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,x2,y\n1,2,3\n4,5,6\n")
+    capsys.readouterr()
+    assert run(["eval", "--model", fit_dir / "model.json", "--data", bad]) == 2
+    assert _one_line_error(capsys, "data error: ") == (
+        "data error: schema mismatch: test data has 2 feature columns, "
+        "model was trained on 5\n"
+    )
+    # a model file saved without normalization stats needs its regular columns
+    model = load_model(fit_dir / "model.json")
+    bare = tmp_path / "bare.json"
+    save_model(dataclasses.replace(model, norm=None), bare)
+    assert run(["eval", "--model", bare, "--data", bad]) == 2
+    assert _one_line_error(capsys, "data error: ") == (
+        "data error: schema mismatch: test data has 2 feature columns, "
+        "model needs at least 3\n"
+    )

@@ -19,7 +19,6 @@ from twinpi.data import (
     NoiseSpec,
     RatioSplit,
     SYNTHETIC_FUNCTIONS,
-    apply_norm,
     gen_synthetic,
     lag_embed,
     load_csv,
@@ -433,24 +432,22 @@ def test_normalize_covers_targets_too():
 def test_apply_norm_matches_training_map_and_does_not_clip():
     train = Dataset([[1.0], [3.0], [5.0]], [1.0, 3.0, 5.0])
     _, stats = min_max_normalize(train)
-    test = Dataset([[3.0], [7.0]], [3.0, 7.0])
-    out = apply_norm(test, stats)
-    np.testing.assert_allclose(out.features[:, 0], [0.5, 1.5])
-    np.testing.assert_allclose(out.targets, [0.5, 1.5])
+    np.testing.assert_allclose(stats.transform_features([[3.0], [7.0]])[:, 0], [0.5, 1.5])
+    np.testing.assert_allclose(stats.transform_targets([3.0, 7.0]), [0.5, 1.5])
 
 
 def test_apply_norm_idempotent_on_training_data():
     train = Dataset([[1.0], [3.0], [5.0]], [0.0, 1.0, 2.0])
     normalized, stats = min_max_normalize(train)
-    again = apply_norm(train, stats)
-    np.testing.assert_allclose(again.features, normalized.features)
+    np.testing.assert_allclose(stats.transform_features(train.features), normalized.features)
+    np.testing.assert_allclose(stats.transform_targets(train.targets), normalized.targets)
 
 
 def test_apply_norm_dimension_mismatch():
     train = Dataset([[1.0, 2.0]], [0.0])
     _, stats = min_max_normalize(train)
-    with pytest.raises(DataError, match="feature columns"):
-        apply_norm(Dataset([[1.0]], [0.0]), stats)
+    with pytest.raises(DataError, match="3 feature columns given but stats cover 2"):
+        stats.transform_features([[1.0, 2.0, 3.0]])
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**31))

@@ -27,7 +27,6 @@ from twinpi.data import (
     NoiseSpec,
     NormStats,
     PIDataset,
-    apply_norm,
     gen_synthetic,
     min_max_normalize,
     split_privileged,
@@ -500,6 +499,23 @@ def test_fit_rejects_hopelessly_conditioned_hyperparameters():
     infeasible = "fit rejected: down-bound feasibility optimality residual"
     with pytest.raises(NumericalError, match=infeasible):
         fit(_clustered_data(), Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec("linear"), None], ids=["identity", "linear"])
+def test_a_fit_past_the_row_limit_names_it(kernel):
+    # [G, G*] has rank at most 2 + 1 + 1 = 4 whether G is [X X' | 1] or [X | 1],
+    # and the equality constraint needs rank m = 20; rbf has no such limit.
+    rng = np.random.default_rng(43)
+    data = PIDataset(rng.normal(size=(20, 2)), rng.normal(size=(20, 1)), rng.normal(size=20))
+    hp = Hyperparams(kernel=kernel)
+    limit = "; the 20 training rows exceed rank[G, G*] <= d_regular + d_privileged + 1 = 4"
+    for ws in (None, build_workspace(data, hp)):
+        with pytest.raises(NumericalError) as info:
+            fit(data, hp, ws=ws)
+        assert str(info.value).endswith(limit)
+    with pytest.raises(NumericalError) as info:
+        fit(data, Hyperparams(kernel=KernelSpec("rbf", mu=4.0)))
+    assert "training rows exceed" not in str(info.value)
 
 
 def _reference_fit(data, hp):
@@ -1008,7 +1024,7 @@ def test_flushing_subnormal_gram_entries_changes_no_fit_bit(mu, monkeypatch):
     train, test = gen_synthetic("f2", 240, 100, NoiseSpec("uniform_pm02", seed=1), seed=0)
     train, stats = min_max_normalize(train)
     data = split_privileged(train)
-    x = apply_norm(test, stats).features[:, : data.regular.shape[1]]
+    x = stats.transform_features(test.features[:, : data.regular.shape[1]])
     kernel = KernelSpec("rbf", mu=mu)
     untied = Hyperparams(c1=1.0, c2=4.0, c3=2.0, c4=0.5, c5=4.0, c6=2.0, kernel=kernel)
     candidates = [replace(untied, c4=1.0), untied]

@@ -150,6 +150,18 @@ def test_nemenyi_golden_values():
     assert nemenyi_cd(6, 21, 2.850) == pytest.approx(1.6454, abs=0.0005)
 
 
+def test_nemenyi_default_q_alpha_follows_the_model_count():
+    # Demšar 2006, Table 5a, at the 5% level; sqrt(l (l + 1) / (6 n)) is 1/2
+    # for l = 2, n = 4 and 1 for l = 5, n = 5
+    assert nemenyi_cd(2, 4) == 1.960 * 0.5
+    assert nemenyi_cd(5, 5) == 2.728
+    assert nemenyi_cd(6, 12) == nemenyi_cd(6, 12, 2.850)
+    assert nemenyi_cd(10, 4) == nemenyi_cd(10, 4, 3.164)
+    with pytest.raises(ValueError, match="no default q_alpha for 11 models"):
+        nemenyi_cd(11, 4)
+    assert nemenyi_cd(11, 4, 3.2) > 0
+
+
 def test_nemenyi_quadruple_datasets_halves_cd():
     assert nemenyi_cd(6, 48, 2.850) == pytest.approx(nemenyi_cd(6, 12, 2.850) / 2.0, rel=1e-12)
 

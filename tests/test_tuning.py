@@ -15,9 +15,7 @@ from twinpi.tuning import (
     GridSpec,
     TuningError,
     cross_validate,
-    export_tune_csv,
     kfold_indices,
-    make_grid,
     tune_krr,
 )
 
@@ -33,7 +31,7 @@ def small_pi_dataset(seed=0, m=30):
 
 def test_axis_has_17_values_and_tied_kernel_grid_is_17_to_the_4():
     spec = GridSpec(kernel="rbf")
-    grid = make_grid(spec)
+    grid = tuning._grid_candidates(spec)
     assert len(grid) == 17**4
     exps = {hp.c1 for hp in grid}
     assert len(exps) == 17
@@ -41,7 +39,7 @@ def test_axis_has_17_values_and_tied_kernel_grid_is_17_to_the_4():
 
 def test_zero_range_gives_single_unit_candidate():
     spec = GridSpec(c_lo=0, c_hi=0, mu_lo=0, mu_hi=0, kernel="rbf")
-    grid = make_grid(spec)
+    grid = tuning._grid_candidates(spec)
     assert len(grid) == 1
     hp = grid[0]
     assert hp.c1 == hp.c2 == hp.c3 == 1.0
@@ -50,19 +48,19 @@ def test_zero_range_gives_single_unit_candidate():
 
 def test_linear_grid_has_no_width_axis():
     spec = GridSpec(c_lo=-1, c_hi=1, kernel=None)
-    assert len(make_grid(spec)) == 27
+    assert len(tuning._grid_candidates(spec)) == 27
 
 
 def test_pinned_width_removes_the_axis():
     spec = GridSpec(c_lo=-1, c_hi=1, kernel="rbf", pin_mu=0.5)
-    grid = make_grid(spec)
+    grid = tuning._grid_candidates(spec)
     assert len(grid) == 27
     assert all(hp.kernel.mu == 0.5 for hp in grid)
 
 
 def test_grid_is_lexicographically_ordered_and_tied():
     spec = GridSpec(c_lo=-1, c_hi=0, mu_lo=-1, mu_hi=0, kernel="rbf")
-    grid = make_grid(spec)
+    grid = tuning._grid_candidates(spec)
     assert len(grid) == 16
     assert grid[0].c1 == 0.5 and grid[0].kernel.mu == 0.5
     assert grid[-1].c1 == 1.0 and grid[-1].kernel.mu == 1.0
@@ -72,18 +70,19 @@ def test_grid_is_lexicographically_ordered_and_tied():
 
 def test_subsampling_strides_the_grid_deterministically():
     spec = GridSpec(kernel="rbf", max_candidates=64)
-    grid = make_grid(spec)
+    grid = tuning._grid_candidates(spec)
     assert 1 <= len(grid) <= 64
-    again = make_grid(spec)
+    again = tuning._grid_candidates(spec)
     assert [repr(hp) for hp in grid] == [repr(hp) for hp in again]
 
 
-def test_untied_full_grid_requires_subsampling():
+def test_full_grid_past_the_cap_requires_subsampling():
+    # 31**4 candidates, past MAX_MATERIALIZED
+    wide = dict(c_lo=-15, c_hi=15, mu_lo=-15, mu_hi=15, kernel="rbf")
     with pytest.raises(TuningError, match="max_candidates"):
-        make_grid(GridSpec(tie_params=False, kernel="rbf"))
-    grid = make_grid(GridSpec(tie_params=False, kernel="rbf", max_candidates=10))
-    assert len(grid) <= 10
-    assert any(hp.c1 != hp.c4 for hp in grid)
+        tuning._grid_candidates(GridSpec(**wide))
+    grid = tuning._grid_candidates(GridSpec(**wide, max_candidates=10))
+    assert 1 <= len(grid) <= 10
 
 
 # ------------------------------------------------------------------- folds
@@ -176,7 +175,7 @@ def _naive_fold_rmses(data, spec):
     # Reference: every candidate fitted anew on every fold, no shared workspace.
     folds = kfold_indices(data.n_samples, spec.folds, spec.seed)
     out = []
-    for hp in make_grid(spec):
+    for hp in tuning._grid_candidates(spec):
         rmses = []
         for val_idx in folds:
             train_idx = np.setdiff1d(np.arange(data.n_samples), val_idx)
@@ -199,7 +198,7 @@ def test_cross_validation_matches_per_candidate_fits():
     pi = small_pi_dataset(seed=13, m=36)
     result = cross_validate(pi, WIDTH_GRID)
     naive = _naive_fold_rmses(pi, WIDTH_GRID)
-    assert len({hp.kernel for hp in make_grid(WIDTH_GRID)}) > 1
+    assert len({hp.kernel for hp in tuning._grid_candidates(WIDTH_GRID)}) > 1
     assert [r.fold_rmses for r in result.table] == naive
     means = []
     for rmses in naive:
@@ -218,24 +217,20 @@ def _bits(rmse):
 
 @st.composite
 def _small_searches(draw):
-    """A small dataset and a small grid: rbf (free or pinned width), linear
-    kernel or linear variant, tied or not, the whole grid or a stride of it."""
+    """A small dataset and a small grid: rbf (free or pinned width) or linear
+    variant, the whole grid or a stride of it."""
     pi = small_pi_dataset(seed=draw(st.integers(0, 2**16)), m=draw(st.integers(6, 20)))
-    kernel = draw(st.sampled_from(["rbf", "rbf", "linear", None]))
-    tie_params = draw(st.booleans())
+    kernel = draw(st.sampled_from(["rbf", "rbf", None]))
     c_lo, mu_lo = draw(st.integers(-3, 2)), draw(st.integers(-5, 1))
     spec = GridSpec(
         c_lo=c_lo, c_hi=c_lo + draw(st.integers(0, 1)),
         mu_lo=mu_lo, mu_hi=mu_lo + draw(st.integers(0, 2)),
-        tie_params=tie_params,
         eps=draw(st.sampled_from([0.0, 0.01])),
         folds=draw(st.integers(2, 3)),
         seed=draw(st.integers(0, 99)),
         kernel=kernel,
         pin_mu=draw(st.sampled_from([None, None, 0.125])) if kernel == "rbf" else None,
-        max_candidates=draw(
-            st.one_of(st.none(), st.integers(1, 8)) if tie_params else st.integers(1, 8)
-        ),
+        max_candidates=draw(st.one_of(st.none(), st.integers(1, 8))),
     )
     return pi, spec
 
@@ -254,7 +249,7 @@ def test_cross_validation_table_equals_fresh_fits_bitwise(threads, search):
         except TuningError:
             assert all(None in rmses for rmses in naive)
             return
-    assert [r.hp for r in result.table] == make_grid(spec)
+    assert [r.hp for r in result.table] == tuning._grid_candidates(spec)
     assert [tuple(map(_bits, r.fold_rmses)) for r in result.table] == [
         tuple(map(_bits, rmses)) for rmses in naive
     ]
@@ -306,7 +301,8 @@ def test_cross_validation_forms_one_validation_cross_gram_per_fitted_fold_and_wi
     monkeypatch.setattr(tuning, "cross_gram", counting_gram)
     monkeypatch.setattr(tuning, "predict", recording_predict)
     result = cross_validate(pi, spec)
-    groups = {(fold, hp.kernel) for fold in range(spec.folds) for hp in make_grid(spec)}
+    groups = {(fold, hp.kernel) for fold in range(spec.folds)
+              for hp in tuning._grid_candidates(spec)}
     assert len(trains) == spec.folds
     assert sorted(formed, key=repr) == sorted(fitted, key=repr)  # once per fitted group
     assert groups - fitted  # ... and none where every candidate failed
@@ -384,7 +380,8 @@ def test_linear_tuning_past_the_row_limit_fails_before_any_fit(monkeypatch):
     assert calls == []
     first_large = next(i for i, fold in enumerate(kfold_indices(10, 3, 5)) if len(fold) == 3)
     assert str(info.value) == (
-        f"none of the {len(make_grid(spec))} candidates can fit fold {first_large + 1}: "
+        f"none of the {len(tuning._grid_candidates(spec))} candidates can fit "
+        f"fold {first_large + 1}: "
         "the 7 training rows exceed rank[G, G*] <= d_regular + d_privileged + 1 = 6"
     )
 
@@ -397,17 +394,6 @@ def test_all_candidates_failing_raises_with_log():
     spec = GridSpec(c_lo=0, c_hi=0, mu_lo=3, mu_hi=4, kernel="rbf", folds=3, seed=9)
     with pytest.raises(TuningError, match="failed"):
         cross_validate(data, spec)
-
-
-def test_export_tune_csv(tmp_path):
-    pi = small_pi_dataset(seed=10)
-    spec = GridSpec(c_lo=0, c_hi=0, mu_lo=-2, mu_hi=-1, kernel="rbf", folds=3, seed=11)
-    result = cross_validate(pi, spec)
-    path = tmp_path / "tune.csv"
-    export_tune_csv(result, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "exp1,exp2,exp3,exp4,mean_rmse,failed_folds"
-    assert len(lines) == 1 + len(result.table)
 
 
 KRR_GRID = GridSpec(c_lo=-4, c_hi=4, mu_lo=-3, mu_hi=0, kernel="rbf",
@@ -545,9 +531,9 @@ def test_tune_krr_returns_fittable_choice():
 @st.composite
 def _small_krr_searches(draw):
     """A small regular-feature dataset and a comparator grid: rbf with a free
-    or pinned width, or the linear kernel, over 2-3 folds."""
+    or pinned width, or the linear kernel (``kernel=None``), over 2-3 folds."""
     pi = small_pi_dataset(seed=draw(st.integers(0, 2**16)), m=draw(st.integers(6, 20)))
-    kernel = draw(st.sampled_from(["rbf", "rbf", "linear"]))
+    kernel = draw(st.sampled_from(["rbf", "rbf", None]))
     c_lo, mu_lo = draw(st.integers(-6, 2)), draw(st.integers(-5, 1))
     spec = GridSpec(
         c_lo=c_lo, c_hi=c_lo + draw(st.integers(0, 3)),
@@ -617,17 +603,19 @@ def test_grid_spec_validation():
         GridSpec(c_lo=2, c_hi=1)
     with pytest.raises(ValueError, match="folds"):
         GridSpec(folds=1)
-    with pytest.raises(ValueError, match="kernel"):
-        GridSpec(kernel="poly")
+    for kernel in ("poly", "linear"):
+        with pytest.raises(ValueError, match=f"kernel must be None or 'rbf', got {kernel!r}"):
+            GridSpec(kernel=kernel)
+    with pytest.raises(TypeError, match="tie_params"):
+        GridSpec(tie_params=False)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="pin_mu must be positive and finite"):
             GridSpec(pin_mu=bad)
     for bad in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps must be finite and non-negative"):
             GridSpec(eps=bad)
-    for kernel in (None, "linear"):
-        with pytest.raises(ValueError, match=f"pin_mu needs kernel 'rbf', got {kernel!r}"):
-            GridSpec(kernel=kernel, pin_mu=0.5)
+    with pytest.raises(ValueError, match="pin_mu needs kernel 'rbf', got None"):
+        GridSpec(kernel=None, pin_mu=0.5)
     assert GridSpec(eps=0.0, pin_mu=0.5).pin_mu == 0.5
 
 
@@ -643,7 +631,7 @@ def test_grid_spec_rejects_exponents_and_widths_outside_the_float_range():
         with pytest.raises(ValueError, match=rf"width 2\*\*{bad} = .* is out of range"):
             GridSpec(mu_lo=lo, mu_hi=hi)
         GridSpec(mu_lo=lo, mu_hi=hi, pin_mu=1.0)  # no width axis to check
-        GridSpec(mu_lo=lo, mu_hi=hi, kernel="linear")
+        GridSpec(mu_lo=lo, mu_hi=hi, kernel=None)
     for bad in (1e300, 1e-200, 2.0**512, 2.0**-538):
         with pytest.raises(ValueError, match=r"pin_mu = .* is out of range: 2 mu\*\*2"):
             GridSpec(pin_mu=bad)
