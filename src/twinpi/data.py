@@ -45,19 +45,11 @@ class DataError(ValueError):
     """Raised for malformed input data or an invalid data operation."""
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
+def _checked_array(values, name: str, ndim: int) -> np.ndarray:
+    """``values`` as a float64 array of ``ndim`` dimensions with finite entries."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise DataError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DataError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise DataError(f"{name} must be {ndim}-dimensional, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite entries")
     return arr
@@ -72,8 +64,8 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features", _as_matrix(self.features, "features"))
-        object.__setattr__(self, "targets", _as_vector(self.targets, "targets"))
+        object.__setattr__(self, "features", _checked_array(self.features, "features", 2))
+        object.__setattr__(self, "targets", _checked_array(self.targets, "targets", 1))
         if self.features.shape[0] != self.targets.shape[0]:
             raise DataError(
                 f"features have {self.features.shape[0]} rows but targets have "
@@ -107,9 +99,9 @@ class PIDataset:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "regular", _as_matrix(self.regular, "regular"))
-        object.__setattr__(self, "privileged", _as_matrix(self.privileged, "privileged"))
-        object.__setattr__(self, "targets", _as_vector(self.targets, "targets"))
+        object.__setattr__(self, "regular", _checked_array(self.regular, "regular", 2))
+        object.__setattr__(self, "privileged", _checked_array(self.privileged, "privileged", 2))
+        object.__setattr__(self, "targets", _checked_array(self.targets, "targets", 1))
         m = self.targets.shape[0]
         if self.regular.shape[0] != m or self.privileged.shape[0] != m:
             raise DataError("regular, privileged and targets must all have the same row count")
@@ -138,8 +130,8 @@ class NormStats:
     col_max: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "col_min", _as_vector(self.col_min, "col_min"))
-        object.__setattr__(self, "col_max", _as_vector(self.col_max, "col_max"))
+        object.__setattr__(self, "col_min", _checked_array(self.col_min, "col_min", 1))
+        object.__setattr__(self, "col_max", _checked_array(self.col_max, "col_max", 1))
         if self.col_min.shape != self.col_max.shape:
             raise DataError("col_min and col_max must have equal length")
         if np.any(self.col_min > self.col_max):
@@ -511,7 +503,7 @@ def gen_synthetic(
 
 def lag_embed(series: np.ndarray, lags: int) -> Dataset:
     """Embed a univariate series: row t predicts s_t from the previous ``lags`` values."""
-    s = _as_vector(series, "series")
+    s = _checked_array(series, "series", 1)
     if lags < 1:
         raise DataError(f"lags must be at least 1, got {lags}")
     if s.shape[0] <= lags:

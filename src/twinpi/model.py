@@ -94,19 +94,24 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, NormStats, PIDataset, write_text_atomically
+from .data import DataError, Dataset, NormStats, PIDataset, _checked_array, write_text_atomically
 from .kernels import _BLOCK_ENTRIES, KernelSpec, gram
 from .linalg import LUFactors, NumericalError, _plus_diagonal, solve_checked
 
 #: A fit is accepted only if all six optimality residuals are at most
 #: KKT_TOL_SCALE * (1 + ||y||_inf).
 KKT_TOL_SCALE = 1e-8
+
+
+def kkt_tolerance(y: np.ndarray) -> float:
+    """The KKT gate's bound on each residual for targets ``y``."""
+    return KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(y))))
 
 
 @dataclass(frozen=True)
@@ -611,7 +616,7 @@ def fit(
     if own_ws:
         ws = build_workspace(data, hp)
     y = _check_targets(ws, data.targets)
-    tol = KKT_TOL_SCALE * (1.0 + float(np.max(np.abs(y))))
+    tol = kkt_tolerance(y)
     try:
         if own_ws:
             weights = _fit_in_steps(ws, data, y, hp, tol)
@@ -855,15 +860,9 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     The file is replaced atomically (:func:`~twinpi.data.write_atomically`):
     readers see the old file or the new one, never a truncated one.
     """
-    hp = model.hp
     payload = {
         "format": MODEL_FORMAT,
-        "hyperparams": {
-            "c1": hp.c1, "c2": hp.c2, "c3": hp.c3,
-            "c4": hp.c4, "c5": hp.c5, "c6": hp.c6,
-            "eps1": hp.eps1, "eps2": hp.eps2,
-            "kernel": None if hp.kernel is None else {"kind": hp.kernel.kind, "mu": hp.kernel.mu},
-        },
+        "hyperparams": asdict(model.hp),
         "v1": model.v1.tolist(),
         "v2": model.v2.tolist(),
         "train_regular": model.train_regular.tolist(),
@@ -875,31 +874,19 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     write_text_atomically(path, text)
 
 
-def _model_array(payload: dict, key: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(payload[key], dtype=float)
-    if arr.ndim != ndim:
-        raise DataError(f"{key} must be {ndim}-dimensional, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{key} contains non-finite entries")
-    return arr
-
-
 def _model_from_payload(payload: dict) -> TrainedModel:
     hp_raw = payload["hyperparams"]
-    kernel = None
-    if hp_raw["kernel"] is not None:
-        kernel = KernelSpec(kind=hp_raw["kernel"]["kind"], mu=hp_raw["kernel"]["mu"])
-    hp = Hyperparams(
-        c1=hp_raw["c1"], c2=hp_raw["c2"], c3=hp_raw["c3"],
-        c4=hp_raw["c4"], c5=hp_raw["c5"], c6=hp_raw["c6"],
-        eps1=hp_raw["eps1"], eps2=hp_raw["eps2"], kernel=kernel,
-    )
-    train_regular = _model_array(payload, "train_regular", 2)
+    kernel = hp_raw["kernel"]  # read first: of several missing keys, the error names it
+    if kernel is not None:
+        kernel = KernelSpec(kind=kernel["kind"], mu=kernel["mu"])
+    scalars = {f.name: hp_raw[f.name] for f in fields(Hyperparams) if f.name != "kernel"}
+    hp = Hyperparams(**scalars, kernel=kernel)
+    train_regular = _checked_array(payload["train_regular"], "train_regular", 2)
     m, d_regular = train_regular.shape
     # Weight vectors are [u; bias]: u spans the training rows in kernel mode,
     # the regular feature columns in linear mode.
     length = (m if kernel is not None else d_regular) + 1
-    weights = {key: _model_array(payload, key, 1) for key in ("v1", "v2")}
+    weights = {key: _checked_array(payload[key], key, 1) for key in ("v1", "v2")}
     for key, v in weights.items():
         if v.shape[0] != length:
             raise DataError(f"{key} has length {v.shape[0]}, expected {length}")

@@ -79,7 +79,7 @@ class TuningError(RuntimeError):
     """Raised when no grid candidate can be fitted."""
 
 
-#: Hard cap on materialized candidates when no subsample is requested.
+#: Hard cap on the candidates a grid builds, after any subsampling.
 MAX_MATERIALIZED = 200_000
 
 
@@ -196,30 +196,26 @@ def _grid_axes(spec: GridSpec, n_c_axes: int) -> list[list[int]]:
     return axes
 
 
-def _unrank(index: int, sizes: list[int]) -> tuple[int, ...]:
-    # Mixed-radix digits, last axis fastest: lexicographic order over tuples.
-    digits = []
-    for size in reversed(sizes):
-        digits.append(index % size)
-        index //= size
-    return tuple(reversed(digits))
-
-
 def _grid_points(axes: list[list[int]], max_candidates: int | None) -> list[tuple[int, ...]]:
-    """Exponent tuples over ``axes`` in lexicographic order, stride-subsampled."""
+    """Exponent tuples over ``axes`` in lexicographic order, stride-subsampled.
+
+    More than ``MAX_MATERIALIZED`` tuples is a :class:`TuningError`, raised
+    before any is built.
+    """
     sizes = [len(a) for a in axes]
     total = math.prod(sizes)
-    if max_candidates is None:
-        if total > MAX_MATERIALIZED:
-            raise TuningError(
-                f"grid has {total} candidates; set max_candidates to subsample"
-            )
-        indices = range(total)
-    else:
-        stride = max(1, math.ceil(total / max_candidates))
-        indices = range(0, total, stride)
+    stride = 1 if max_candidates is None else max(1, math.ceil(total / max_candidates))
+    count = math.ceil(total / stride)
+    if count > MAX_MATERIALIZED:
+        raise TuningError(
+            f"grid keeps {count} of its {total} candidates, over the cap of "
+            f"{MAX_MATERIALIZED}; set max_candidates to at most {MAX_MATERIALIZED}"
+        )
+    # C order runs the last axis fastest: lexicographic order over tuples.
+    digits = np.unravel_index(np.arange(0, total, stride), sizes)
     return [
-        tuple(axis[d] for axis, d in zip(axes, _unrank(idx, sizes))) for idx in indices
+        tuple(axis[d] for axis, d in zip(axes, point))
+        for point in zip(*(column.tolist() for column in digits))
     ]
 
 

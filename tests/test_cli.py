@@ -151,6 +151,8 @@ def test_linear_fit_needs_rows_within_the_feature_span(tmp_path, capsys, rows, c
     capsys.readouterr()
     assert run(["fit", "--data", data_dir / "train.csv", "--kernel", "linear",
                 "--out", tmp_path / "o"]) == code
+    # the output directory is made only once the fit has returned
+    assert (tmp_path / "o").exists() == (code == 0)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code:
@@ -711,6 +713,7 @@ def test_benchmark_without_datasets_is_usage_error(tmp_path):
      "exponent ranges must give 2**e positive and finite: -1074 <= e <= 1023"),
     (["--grid-lo", 500, "--grid-hi", 512],
      f"width 2**512 = 1.3407807929942597e+154 {WIDTH_OUT_OF_RANGE}"),
+    (["--max-candidates", 0], "max_candidates must be positive when given"),
 ])
 def test_benchmark_bad_grid_flags_are_usage_errors(tmp_path, capsys, flags, message):
     out = tmp_path / "bench"
@@ -863,6 +866,38 @@ def test_stats_scores_that_are_not_utf8_are_a_data_error(tmp_path, capsys):
     scores.write_bytes(b"dataset,a,b\nd1,1.0,\xff\nd2,1.0,2.0\n")
     assert run(["stats", "--scores", scores]) == 2
     assert capsys.readouterr().err.startswith(f"data error: {scores}: not UTF-8 text")
+
+
+def test_benchmark_scores_feed_stats(tmp_path, capsys):
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("x,y\n" + "\n".join(f"{i},{i * 2}" for i in range(30)) + "\n")
+    out = tmp_path / "bench"
+    assert run(["benchmark", "--synthetic", "f1", "--synthetic", "f2", "--data", narrow,
+                "--repeats", 1, "--n-train", 40, "--n-test", 20, "--max-candidates", 4,
+                "--grid-lo", -6, "--grid-hi", -2, "--folds", 3, "--with-krr",
+                "--out", out]) == 0
+    rows = read_csv_rows(out / "benchmark.csv")
+    assert [row[:2] for row in rows[1:]] == [["f1", "ok"], ["f2", "ok"], ["narrow", "failed"]]
+    # each ok row's mean test rmse, as benchmark.csv writes it; the failed
+    # dataset is left out, and stderr names it
+    assert read_csv_rows(out / "scores.csv") == [
+        ["dataset", "twin", "krr"], *([row[0], row[2], row[5]] for row in rows[1:3])
+    ]
+    assert capsys.readouterr().err.startswith("narrow: FAILED (")
+    assert run(["stats", "--scores", out / "scores.csv", "--out", tmp_path / "report"]) == 0
+    assert "(q_alpha = 1.96)\n" in capsys.readouterr().out
+    ranks = read_csv_rows(tmp_path / "report" / "ranks.csv")
+    assert [row[0] for row in ranks] == ["dataset", "f1", "f2", "avg_rank"]
+
+
+def test_stats_on_a_table_with_a_nan_score_is_a_data_error(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("dataset,twin,krr\nf1,0.5,nan\nf2,0.4,0.3\n")
+    assert run(["stats", "--scores", scores, "--out", tmp_path / "report"]) == 2
+    assert _one_line_error(capsys, "data error: ") == (
+        f"data error: {scores}: scores contain non-finite entries\n"
+    )
+    assert not (tmp_path / "report").exists()
 
 
 # ------------------------------------------------------------------ bounds
@@ -1168,7 +1203,7 @@ def test_fit_target_outside_the_file_is_a_data_error(tmp_path, capsys, target, m
     out = tmp_path / "o"
     assert run(["fit", "--data", data_dir / "train.csv", "--target", target, "--out", out]) == 2
     assert _one_line_error(capsys, "data error: ") == f"data error: {message}\n"
-    assert not (out / "model.json").exists()
+    assert not out.exists()
 
 
 def test_fit_target_by_name_in_a_file_without_a_header_is_a_data_error(tmp_path, capsys):
@@ -1243,4 +1278,37 @@ def test_eval_on_too_few_feature_columns_is_a_data_error(f2_run, tmp_path, capsy
     assert _one_line_error(capsys, "data error: ") == (
         "data error: schema mismatch: test data has 2 feature columns, "
         "model needs at least 3\n"
+    )
+
+
+def test_fit_without_data_is_a_usage_error_and_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["fit", "--out", out]) == 1
+    assert _one_line_error(capsys, "usage error: ") == (
+        "usage error: --data is required (on the command line or in the config)\n"
+    )
+    assert not out.exists()
+
+
+def test_with_krr_false_in_a_config_runs_without_the_comparator(tmp_path):
+    cfg = _small_benchmark_config(tmp_path / "bench.cfg", synthetic="f2", with_krr="false",
+                                  out=str(tmp_path / "o"))
+    assert run(["benchmark", "--config", cfg]) == 0
+    rows = read_csv_rows(tmp_path / "o" / "benchmark.csv")
+    assert rows[0] == ["dataset", "status", "twin_rmse", "twin_sse", "twin_sse_over_sst", "error"]
+    # scores.csv then has the twin model's column only
+    assert read_csv_rows(tmp_path / "o" / "scores.csv") == [["dataset", "twin"], ["f2", rows[1][2]]]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lipschitz", 0], "Lipschitz constant must be positive, got 0.0"),
+    (["--delta", 1], "delta must lie in (0, 1), got 1.0"),
+    (["--empirical-error", -1], "empirical error must be non-negative, got -1.0"),
+])
+def test_bounds_out_of_range_inputs_are_configuration_errors(f2_run, capsys, flags, message):
+    _, fit_dir = f2_run
+    capsys.readouterr()
+    assert run(["bounds", "--model", fit_dir / "model.json", *flags]) == 1
+    assert _one_line_error(capsys, "configuration error: ") == (
+        f"configuration error: {message}\n"
     )

@@ -1175,6 +1175,12 @@ def test_hyperparams_validation():
         (lambda p: p.update(train_regular=p["train_regular"][0]), "2-dimensional"),
         (lambda p: p["hyperparams"].update(c2=-1.0), "c2 must be positive"),
         (lambda p: p.update(v2="oops"), "malformed"),
+        (lambda p: p["v1"].__setitem__(0, math.nan), "v1 contains non-finite entries"),
+        (lambda p: p.update(v1=[p["v1"]]), "v1 must be 1-dimensional, got ndim=2"),
+        (lambda p: p.pop("v2"), "lacks key 'v2'"),
+        (lambda p: p["hyperparams"].pop("eps2"), "lacks key 'eps2'"),
+        # the kernel key is read before the weights
+        (lambda p: [p["hyperparams"].pop(k) for k in ("c1", "kernel")], "lacks key 'kernel'"),
     ],
 )
 def test_load_model_rejects_inconsistent_payload(tmp_path, corrupt, message):
@@ -1186,6 +1192,31 @@ def test_load_model_rejects_inconsistent_payload(tmp_path, corrupt, message):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataError, match=message):
         load_model(path)
+
+
+@pytest.mark.parametrize("kernel, kernel_text", [
+    (None, "null"),
+    (KernelSpec("rbf", mu=0.375), '{\n   "kind": "rbf",\n   "mu": 0.375\n  }'),
+    (KernelSpec("linear"), '{\n   "kind": "linear",\n   "mu": 1.0\n  }'),
+], ids=["no-kernel", "rbf", "linear-kernel"])
+def test_model_file_hyperparams_layout(tmp_path, kernel, kernel_text):
+    hp = Hyperparams(c1=2.0, c2=0.5, c3=0.25, c4=4.0, c5=1.5, c6=3.0,
+                     eps1=0.02, eps2=0.0, kernel=kernel)
+    # save_model writes the hyperparameters it is given; no fit is needed to lay them out
+    m, d_regular = REF_DATA.regular.shape
+    v = np.zeros((m if kernel is not None else d_regular) + 1)
+    model = replace(fit(REF_DATA, REF_HP), hp=hp, v1=v, v2=v)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text()
+    assert (
+        ' "hyperparams": {\n'
+        '  "c1": 2.0,\n  "c2": 0.5,\n  "c3": 0.25,\n'
+        '  "c4": 4.0,\n  "c5": 1.5,\n  "c6": 3.0,\n'
+        '  "eps1": 0.02,\n  "eps2": 0.0,\n'
+        f'  "kernel": {kernel_text}\n }},\n'
+    ) in text
+    assert load_model(path).hp == hp
 
 
 def _v1_payload(model):

@@ -85,6 +85,21 @@ def test_full_grid_past_the_cap_requires_subsampling():
     assert 1 <= len(grid) <= 10
 
 
+def test_a_subsample_past_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # 31**4 = 923521 candidates: a max_candidates at or above the grid size
+    # keeps them all, which is past MAX_MATERIALIZED too
+    axes = tuning._grid_axes(GridSpec(c_lo=-15, c_hi=15, mu_lo=-15, mu_hi=15), 3)
+    monkeypatch.setattr(tuning.np, "unravel_index", None)  # nothing may be built
+    with pytest.raises(TuningError, match="keeps 923521 of its 923521 candidates.*max_candidates"):
+        tuning._grid_points(axes, 10**6)
+    # a stride of 2 keeps 461761
+    with pytest.raises(TuningError, match="keeps 461761 .*max_candidates to at most 200000"):
+        tuning._grid_points(axes, 500_000)
+    monkeypatch.undo()
+    # a stride of 5 keeps 184705
+    assert len(tuning._grid_points(axes, tuning.MAX_MATERIALIZED + 1)) == 184705
+
+
 # ------------------------------------------------------------------- folds
 
 
