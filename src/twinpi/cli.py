@@ -52,7 +52,7 @@ from .model import (
     save_model,
 )
 from .stats import compute_report, format_report, load_score_csv
-from .tuning import GridSpec, TuningError, cross_validate, tune_krr
+from .tuning import GridSpec, TuningError, check_grid_cap, cross_validate, tune_krr
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -412,7 +412,8 @@ def cmd_benchmark(args) -> int:
             eps=args.eps, folds=args.folds, kernel=None if args.kernel == "linear" else "rbf",
             pin_mu=args.pin_mu, max_candidates=args.max_candidates,
         )
-    except ValueError as exc:
+        check_grid_cap(grid)
+    except (ValueError, TuningError) as exc:
         raise UsageError(f"grid flags: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -502,17 +503,15 @@ def cmd_bounds(args) -> int:
             )
     else:
         diag = np.ones(train.shape[0])
-    lipschitz = args.lipschitz
-    if lipschitz is None:
-        lipschitz = 1.0
-        print("note: no Lipschitz constant given; using the illustrative default L = 1")
     inputs = BoundInputs(
         weight_norm_cap=args.weight_cap,
-        lipschitz=lipschitz,
+        lipschitz=1.0 if args.lipschitz is None else args.lipschitz,
         delta=args.delta,
         kernel_diag=diag,
         empirical_error=args.empirical_error,
     )
+    if args.lipschitz is None:
+        print("note: no Lipschitz constant given; using the illustrative default L = 1")
     complexity = rademacher_bound(args.weight_cap, diag)
     bound = generalization_bound(inputs, diag.size)
     print(f"m = {diag.size}")

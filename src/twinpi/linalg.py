@@ -26,12 +26,26 @@ of a fold, so each LU is written into the array of the one before.
 ``np.copyto`` writes the same values ``np.array(matrix, order="F")`` would,
 so the factors are unchanged. A jittered retry is rare (a few dozen per
 grid search) and is built in new arrays.
+
+:func:`flush_subnormals` sets or clears the flush-to-zero bit of the x86
+SSE control register (MXCSR) on the calling thread for the length of a
+``with`` block. With it set, a floating-point result below DBL_MIN becomes
+a signed zero instead of a subnormal number, which x86 computes on a slow
+microcode path; normal results and subnormal inputs are left as they are.
+The twin fit runs under it (see :func:`twinpi.model.fit`). It reaches the
+register through glibc libm's ``fegetenv``/``fesetenv`` on x86-64 Linux and
+does nothing on any other platform: a fit there keeps IEEE subnormals and
+runs slower where they arise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import os
+import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +56,62 @@ RESIDUAL_TOL = 1e-6
 #: Scale of the single diagonal-jitter retry applied after a failed solve.
 JITTER_SCALE = 1e-10
 
+#: MXCSR's flush-to-zero bit (FTZ, bit 15). The denormals-are-zero bit
+#: (DAZ, bit 6), which would read subnormal inputs such as data as zero, is
+#: never set.
+_FTZ = 0x8000
+
+#: glibc's x86-64 ``fenv_t``: 32 bytes, the last four of which hold MXCSR.
+_Fenv = ctypes.c_uint32 * 8
+_MXCSR = 7
+
 
 class NumericalError(RuntimeError):
     """A linear system could not be solved to the required residual."""
+
+
+@functools.cache
+def _fenv_access() -> tuple | None:
+    """``(fegetenv, fesetenv)`` of glibc's libm on x86-64 Linux, or None elsewhere."""
+    if sys.platform != "linux" or os.uname().machine != "x86_64":
+        return None
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return None
+        libm = ctypes.CDLL("libm.so.6")
+        get, set_ = libm.fegetenv, libm.fesetenv
+    except (AttributeError, OSError, ValueError):  # confstr None or unknown, no libm
+        return None
+    get.argtypes = set_.argtypes = [ctypes.POINTER(_Fenv)]
+    get.restype = set_.restype = ctypes.c_int
+    return get, set_
+
+
+@contextlib.contextmanager
+def flush_subnormals(on: bool = True) -> Iterator[None]:
+    """Run the body with the calling thread's flush-to-zero bit set (``on``) or clear.
+
+    Only that bit is changed, and its previous value is restored when the
+    body ends or raises. MXCSR is per thread, so other threads, BLAS worker
+    threads among them, keep their own setting. Without glibc on x86-64
+    Linux this does nothing.
+    """
+    access = _fenv_access()
+    if access is None:
+        yield
+        return
+    get, set_ = access
+    env = _Fenv()
+    get(env)
+    before = env[_MXCSR] & _FTZ
+    env[_MXCSR] = (env[_MXCSR] & ~_FTZ) | (_FTZ if on else 0)
+    set_(env)
+    try:
+        yield
+    finally:
+        get(env)  # the body may have changed other fields, such as exception flags
+        env[_MXCSR] = (env[_MXCSR] & ~_FTZ) | before
+        set_(env)
 
 
 @functools.cache

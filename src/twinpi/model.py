@@ -81,6 +81,15 @@ candidate: ``cross_gram`` forms it once, and ``predict(..., k=)`` and
 gram entry does not depend on the rows formed with it, and each slice is
 multiplied in the same blocks, so the predictions keep every bit.
 
+A fit runs with subnormal results flushed to zero on its thread
+(:func:`~twinpi.linalg.flush_subnormals`): at narrow kernel widths, tiny but
+normal Gram entries make subnormal partial results throughout the products,
+solves and recoveries, and x86 computes those on a slow path. The flush
+changes no normal result, and every recorded output keeps its bits. The
+Gram builds, also those inside a fit, and everything outside ``fit``
+(``predict``, the kernel ridge comparator, ``kkt_residuals`` and the stacked
+oracle) keep IEEE subnormals.
+
 A fit is accepted only when its six optimality residuals pass the KKT gate.
 The gate is checked side by side: the down-bound side is solved, recovered
 and checked first, and a down-side rejection raises before any up-bound
@@ -102,7 +111,7 @@ import numpy as np
 
 from .data import DataError, Dataset, NormStats, PIDataset, _checked_array, write_text_atomically
 from .kernels import _BLOCK_ENTRIES, KernelSpec, gram
-from .linalg import LUFactors, NumericalError, _plus_diagonal, solve_checked
+from .linalg import LUFactors, NumericalError, _plus_diagonal, flush_subnormals, solve_checked
 
 #: A fit is accepted only if all six optimality residuals are at most
 #: KKT_TOL_SCALE * (1 + ||y||_inf).
@@ -304,7 +313,8 @@ def _design(
     if kernel is None:
         out[:, :width] = rows
     else:
-        gram(rows, rows, kernel, out=out[:, :width])
+        with flush_subnormals(False):  # the Gram keeps IEEE arithmetic inside a fit too
+            gram(rows, rows, kernel, out=out[:, :width])
     out[:, width] = 1.0
     return out
 
@@ -611,22 +621,26 @@ def fit(
     tied parameters, (c4, c5) = (c1, c2), and five untied. Both schedules
     return the same bits and raise the same error. The returned model's
     ``kkt`` holds the residuals the gate checked.
+
+    Both schedules run under ``flush_subnormals()``, on the calling thread
+    only; the designs they build keep IEEE arithmetic.
     """
-    own_ws = ws is None
-    if own_ws:
-        ws = build_workspace(data, hp)
-    y = _check_targets(ws, data.targets)
-    tol = kkt_tolerance(y)
-    try:
+    with flush_subnormals():
+        own_ws = ws is None
         if own_ws:
-            weights = _fit_in_steps(ws, data, y, hp, tol)
-        else:
-            weights = _fit_side_by_side(ws, y, hp, tol)
-    except NumericalError as exc:
-        limit = _linear_row_limit(data, hp)
-        if limit is None:
-            raise
-        raise NumericalError(f"{exc}; {limit}") from exc
+            ws = build_workspace(data, hp)
+        y = _check_targets(ws, data.targets)
+        tol = kkt_tolerance(y)
+        try:
+            if own_ws:
+                weights = _fit_in_steps(ws, data, y, hp, tol)
+            else:
+                weights = _fit_side_by_side(ws, y, hp, tol)
+        except NumericalError as exc:
+            limit = _linear_row_limit(data, hp)
+            if limit is None:
+                raise
+            raise NumericalError(f"{exc}; {limit}") from exc
 
     v1, v2, v1_star, v2_star, alpha, beta, kkt = weights
     return TrainedModel(

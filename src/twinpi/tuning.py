@@ -196,13 +196,8 @@ def _grid_axes(spec: GridSpec, n_c_axes: int) -> list[list[int]]:
     return axes
 
 
-def _grid_points(axes: list[list[int]], max_candidates: int | None) -> list[tuple[int, ...]]:
-    """Exponent tuples over ``axes`` in lexicographic order, stride-subsampled.
-
-    More than ``MAX_MATERIALIZED`` tuples is a :class:`TuningError`, raised
-    before any is built.
-    """
-    sizes = [len(a) for a in axes]
+def _grid_stride(sizes: list[int], max_candidates: int | None) -> int:
+    """The subsampling stride over axes of ``sizes``; a :class:`TuningError` past the cap."""
     total = math.prod(sizes)
     stride = 1 if max_candidates is None else max(1, math.ceil(total / max_candidates))
     count = math.ceil(total / stride)
@@ -211,6 +206,27 @@ def _grid_points(axes: list[list[int]], max_candidates: int | None) -> list[tupl
             f"grid keeps {count} of its {total} candidates, over the cap of "
             f"{MAX_MATERIALIZED}; set max_candidates to at most {MAX_MATERIALIZED}"
         )
+    return stride
+
+
+def check_grid_cap(spec: GridSpec) -> None:
+    """Raise the :class:`TuningError` ``cross_validate`` would raise for ``spec``'s grid size.
+
+    The kernel ridge comparator's grid has one regularization axis where the
+    twin model's has three, so it never keeps more candidates.
+    """
+    _grid_stride([len(a) for a in _grid_axes(spec, 3)], spec.max_candidates)
+
+
+def _grid_points(axes: list[list[int]], max_candidates: int | None) -> list[tuple[int, ...]]:
+    """Exponent tuples over ``axes`` in lexicographic order, stride-subsampled.
+
+    More than ``MAX_MATERIALIZED`` tuples is a :class:`TuningError`, raised
+    before any is built.
+    """
+    sizes = [len(a) for a in axes]
+    total = math.prod(sizes)
+    stride = _grid_stride(sizes, max_candidates)
     # C order runs the last axis fastest: lexicographic order over tuples.
     digits = np.unravel_index(np.arange(0, total, stride), sizes)
     return [

@@ -726,6 +726,18 @@ def test_benchmark_bad_grid_flags_are_usage_errors(tmp_path, capsys, flags, mess
     assert not (out / "benchmark.csv").exists()
 
 
+def test_benchmark_grid_past_the_cap_is_a_usage_error_before_any_dataset(tmp_path, capsys):
+    out = tmp_path / "bench"
+    code = run(["benchmark", "--synthetic", "f2", "--grid-lo", -15, "--grid-hi", 15,
+                "--max-candidates", 1000000, "--repeats", 1, "--out", out])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "usage error: grid flags: grid keeps 923521 of its 923521 candidates, over the "
+        "cap of 200000; set max_candidates to at most 200000\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ratio", [1.5, 0, -0.2, "nan"])
 def test_benchmark_bad_split_ratio_is_a_usage_error(tmp_path, capsys, ratio):
     data = tmp_path / "tiny.csv"
@@ -1312,3 +1324,10 @@ def test_bounds_out_of_range_inputs_are_configuration_errors(f2_run, capsys, fla
     assert _one_line_error(capsys, "configuration error: ") == (
         f"configuration error: {message}\n"
     )
+
+
+def test_bounds_rejects_its_flags_before_it_prints_the_lipschitz_note(f2_run, capsys):
+    _, fit_dir = f2_run
+    capsys.readouterr()
+    assert run(["bounds", "--model", fit_dir / "model.json", "--delta", 1]) == 1
+    assert capsys.readouterr() == ("", "configuration error: delta must lie in (0, 1), got 1.0\n")

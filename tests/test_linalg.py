@@ -1,3 +1,6 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -223,3 +226,66 @@ def test_nan_matrix_fails_the_same_way_with_kept_factors():
         with pytest.raises(NumericalError) as cached:
             solve_checked(a, b, factors=factors)
         assert str(cached.value) == str(plain.value)
+
+
+def test_singular_even_after_jitter_names_the_jitter():
+    # The trace is negative, so the jitter falls back to JITTER_SCALE, and
+    # -1e-10 + 1e-10 leaves an exactly zero pivot.
+    with pytest.raises(NumericalError) as info:
+        solve_checked(np.array([[-1e-10, 0.0], [0.0, 0.0]]), np.ones(2))
+    assert str(info.value) == "linear system: singular even after jitter 1.000e-10"
+
+
+# ----------------------------------------------------------- flush to zero
+
+#: Two normal floats whose product, 1e-320, is subnormal.
+_TINY = (np.float64(1e-160), np.float64(1e-160))
+
+flush_supported = pytest.mark.skipif(
+    linalg._fenv_access() is None, reason="the flush needs glibc on x86-64 Linux"
+)
+
+
+@pytest.fixture
+def fenv_probe():
+    """Clear ``_fenv_access``'s cache around the test, which may patch what it checks."""
+    linalg._fenv_access.cache_clear()
+    yield
+    linalg._fenv_access.cache_clear()
+
+
+@flush_supported
+def test_flush_subnormals_sets_the_bit_and_restores_it_on_exit_and_on_raise():
+    a, b = _TINY
+    assert a * b == 1e-320
+    with linalg.flush_subnormals():
+        assert a * b == 0.0
+        assert np.all(np.full(3, a) * b == 0.0)
+        assert a * 1e-140 == 1e-300  # normal results keep their bits
+        subnormal = np.float64(5e-324)
+        assert subnormal * 2.0**1000 == 2.0**-74  # subnormal inputs are read as they are
+        with linalg.flush_subnormals(False):
+            assert a * b == 1e-320
+        assert a * b == 0.0
+    assert a * b == 1e-320
+    with pytest.raises(ValueError, match="body failed"):
+        with linalg.flush_subnormals():
+            raise ValueError("body failed")
+    assert a * b == 1e-320
+
+
+@pytest.mark.parametrize("patch", [
+    ("sys", SimpleNamespace(platform="darwin")),
+    ("os", SimpleNamespace(uname=lambda: SimpleNamespace(machine="aarch64"),
+                           confstr=os.confstr)),
+    ("os", SimpleNamespace(uname=lambda: SimpleNamespace(machine="x86_64"),
+                           confstr=lambda name: None)),  # musl, for one
+], ids=["not-linux", "not-x86-64", "not-glibc"])
+def test_flush_subnormals_does_nothing_where_the_platform_check_fails(
+    fenv_probe, monkeypatch, patch
+):
+    monkeypatch.setattr(linalg, *patch)
+    assert linalg._fenv_access() is None
+    a, b = _TINY
+    with linalg.flush_subnormals():
+        assert a * b == 1e-320

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -278,7 +279,7 @@ def test_products_written_into_kept_arrays_equal_fresh_products_bitwise(threads,
 
 
 def _fit_outcomes(data, candidates, ws):
-    """Each candidate's weights and multipliers, or its error message."""
+    """Each candidate's weights, multipliers and gate residuals, or its error message."""
     outcomes = []
     for hp in candidates:
         try:
@@ -287,7 +288,7 @@ def _fit_outcomes(data, candidates, ws):
             outcomes.append(str(exc))
             continue
         outcomes.append([model.v1, model.v2, model.v1_star, model.v2_star,
-                         model.duals.alpha, model.duals.beta])
+                         model.duals.alpha, model.duals.beta, np.array(astuple(model.kkt))])
     return outcomes
 
 
@@ -1018,7 +1019,8 @@ def _unflushed_gram(rows_a, rows_b, spec, out=None):
 
 @pytest.mark.parametrize("mu", [2.0**-8, 2.0**-6])
 def test_flushing_subnormal_gram_entries_changes_no_fit_bit(mu, monkeypatch):
-    # each S, H and G'G entry adds the ones column's +1 and each prediction
+    # each S and H entry adds the ones column's +1 (G'G's Gram block has no
+    # ones term, yet every fit output keeps its bits) and each prediction
     # the bias, so a subnormal kernel value is below half an ulp of every
     # sum it enters; the ridge system adds the ridge to the diagonal
     train, test = gen_synthetic("f2", 240, 100, NoiseSpec("uniform_pm02", seed=1), seed=0)
@@ -1047,6 +1049,84 @@ def test_flushing_subnormal_gram_entries_changes_no_fit_bit(mu, monkeypatch):
     assert len(flushed) == len(unflushed)
     for got, want in zip(flushed, unflushed):
         assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------ subnormal results flushed in fit
+
+
+def _f2_rows(m):
+    train, _ = gen_synthetic("f2", m, 10, NoiseSpec("uniform_pm02", seed=1), seed=0)
+    return split_privileged(min_max_normalize(train)[0])
+
+
+@pytest.mark.parametrize("threads", BLAS_THREADS)
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "own"])
+def test_flushed_fits_equal_ieee_fits_bitwise(threads, shared, monkeypatch):
+    # Narrow widths, where the fit's products make subnormal partial results.
+    data = _f2_rows(200)
+    candidates = [
+        Hyperparams(c1=c1, c2=c2, c3=c3, c4=c1, c5=c2, c6=c3,
+                    kernel=KernelSpec("rbf", mu=2.0**k))
+        for k in (-8, -7, -6, -4)
+        for c1, c2, c3 in ((2.0**-8, 2.0**-8, 0.5), (2.0**-3, 1.0, 0.5), (8.0, 0.25, 2.0))
+    ]
+
+    def outcomes():
+        if shared:
+            return [o for hp in candidates
+                    for o in _fit_outcomes(data, [hp], build_workspace(data, hp))]
+        return _fit_outcomes(data, candidates, None)
+
+    with at_blas_threads(threads):
+        flushed = outcomes()
+        monkeypatch.setattr(twinpi.model, "flush_subnormals",
+                            lambda on=True: contextlib.nullcontext())
+        ieee = outcomes()
+    _assert_same_outcomes(flushed, ieee)
+    assert any(isinstance(o, str) for o in ieee) and any(not isinstance(o, str) for o in ieee)
+
+
+#: Two normal floats whose product, 1e-320, is subnormal.
+_TINY = (np.float64(1e-160), np.float64(1e-160))
+
+
+@pytest.mark.skipif(twinpi.linalg._fenv_access() is None,
+                    reason="the flush needs glibc on x86-64 Linux")
+def test_fit_flushes_subnormals_and_restores_ieee_after_return_and_raise(monkeypatch):
+    a, b = _TINY
+    products = {"gram": [], "solve": []}
+    gram_ = twinpi.model.gram
+    solve = twinpi.model.solve_alpha
+
+    def probed_gram(*args, **kwargs):
+        products["gram"].append(a * b)
+        return gram_(*args, **kwargs)
+
+    def probed_solve(*args):
+        products["solve"].append(a * b)
+        return solve(*args)
+
+    monkeypatch.setattr(twinpi.model, "gram", probed_gram)
+    monkeypatch.setattr(twinpi.model, "solve_alpha", probed_solve)
+    data = _f2_rows(60)
+    hp = Hyperparams(c1=1.0, c2=4.0, c3=2.0, c4=1.0, c5=4.0, c6=2.0,
+                     kernel=KernelSpec("rbf", mu=0.0625))
+    for ws in (None, build_workspace(data, hp)):
+        fit(data, hp, ws=ws)
+        assert a * b == 1e-320
+    # Flushed in the solves; the Gram builds, also those inside a one-off fit, stay IEEE.
+    assert products["solve"] == [0.0, 0.0]
+    assert products["gram"] and set(products["gram"]) == {1e-320}
+
+    def failing_solve(*args):
+        assert a * b == 0.0
+        raise NumericalError("down-bound multiplier system: forced failure")
+
+    monkeypatch.setattr(twinpi.model, "solve_alpha", failing_solve)
+    for ws in (None, build_workspace(data, hp)):
+        with pytest.raises(NumericalError, match="forced failure"):
+            fit(data, hp, ws=ws)
+        assert a * b == 1e-320
 
 
 # ------------------------------------------------------- ridge comparator

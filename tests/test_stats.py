@@ -238,3 +238,22 @@ def test_score_table_validation():
         ScoreTable(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError, match="direction"):
         ScoreTable(np.ones((2, 2)), direction="sideways")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(scores=np.ones(4)), "scores must be a 2-d matrix (datasets x models)"),
+    (dict(scores=np.ones((2, 2, 1))), "scores must be a 2-d matrix (datasets x models)"),
+    (dict(scores=np.ones((1, 3))), "need at least 2 datasets and 2 models, got 1 x 3"),
+    (dict(scores=np.ones((3, 1))), "need at least 2 datasets and 2 models, got 3 x 1"),
+    (dict(scores=[[1.0, np.nan], [0.5, 0.2]]), "scores contain non-finite entries"),
+    (dict(scores=[[1.0, np.inf], [0.5, 0.2]]), "scores contain non-finite entries"),
+    (dict(scores=np.ones((2, 2)), direction="lower"),
+     "direction must be one of ('lower_better', 'higher_better')"),
+    (dict(scores=np.ones((2, 3)), model_names=("a", "b")),
+     "model_names length does not match column count"),
+    (dict(scores=np.ones((2, 3)), dataset_names=("d1", "d2", "d3")),
+     "dataset_names length does not match row count"),
+])
+def test_score_table_rejects_malformed_tables_with_their_messages(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScoreTable(**kwargs)
