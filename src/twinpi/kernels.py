@@ -52,24 +52,6 @@ def rbf_width_error(mu: float, name: str) -> str | None:
     return None
 
 
-def _lowest_rbf_exponent(a: np.ndarray, b_cols: np.ndarray, mu: float) -> float:
-    """A lower bound on every exponent ``gram(a, b)`` forms at width ``mu``; ``b_cols`` is ``b.T``.
-
-    No column's difference exceeds the width of the range that column spans
-    over both row sets, and every rounded step of an entry's exponent and of
-    this bound (difference, square, left-to-right sum, division) is
-    monotone, so the bound holds for the rounded values too. A width that
-    overflows gives -inf, and NaN inputs give NaN.
-    """
-    if not (a.size and b_cols.size):
-        return 0.0
-    cols = np.concatenate((a.T, b_cols), axis=1)
-    d2 = 0.0
-    for high, low in zip(cols.max(axis=1).tolist(), cols.min(axis=1).tolist()):
-        d2 += (high - low) * (high - low)
-    return d2 / -(2.0 * mu**2)
-
-
 def gram(
     rows_a: np.ndarray, rows_b: np.ndarray, spec: KernelSpec, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -109,10 +91,11 @@ def gram(
     term is below half an ulp of any sum it enters. Kernel ridge has no
     bias: at ``mu = 2**-8`` its prediction for a row whose every kernel
     value was subnormal is now 0.0 instead of a value below 1e-300. The
-    check reads a mask kept in the term scratch, and it is skipped when the
-    column ranges of ``rows_a`` and ``rows_b`` bound every exponent at or
-    above ``ln(DBL_MIN)``, as for normalized rows at ``mu = 0.0625`` and
-    d = 3 (exponents above -384).
+    check is decided per row block from the block's own exponents: a block
+    whose least exponent is at or above ``ln(DBL_MIN)``, as every block of
+    normalized rows at ``mu = 0.0625`` and d = 3 (exponents above -384),
+    calls ``exp`` on every entry; any other block, also one holding a NaN
+    exponent, masks its normal entries, and a NaN exponent gives +0.0.
 
     ``out``, an n_a x n_b float64 array, receives the result instead of a
     new one. It may be a strided view, such as the first m columns of a
@@ -127,9 +110,8 @@ def gram(
     ``rows_b``'s columns and one block of ``_BLOCK_ENTRIES`` entries (or one
     row of n_b): the term scratch, or with a strided ``out`` the scratch and
     the buffer at half a block each (or one row each). That holds whatever
-    the feature count d; no n_a x n_b x d array is formed. The rbf range
-    check copies both inputs' columns, (n_a + n_b) x d entries, and drops
-    them before the block is allocated.
+    the feature count d; no n_a x n_b x d array is formed. A masked rbf
+    block's boolean mask costs one eighth of the block while it lives.
     """
     a = np.atleast_2d(np.asarray(rows_a, dtype=float))
     b = np.atleast_2d(np.asarray(rows_b, dtype=float))
@@ -143,7 +125,6 @@ def gram(
             f"gram output must be float64 of shape {(n_a, n_b)}, got {out.dtype} {out.shape}"
         )
     b_cols = np.ascontiguousarray(b.T)
-    flush = spec.kind == "rbf" and not _lowest_rbf_exponent(a, b_cols, spec.mu) >= _LN_DBL_MIN
     step = max(1, _BLOCK_ENTRIES // max(n_b, 1))
     # A strided output is summed in a contiguous buffer and copied over, with
     # half the row step, so buffer and scratch fill one block between them.
@@ -154,10 +135,6 @@ def gram(
     buffer = None if contiguous else np.empty_like(scratch)
     zero_start = spec.kind == "linear" or not len(b_cols)
     rbf_limit = np.errstate(over="ignore") if spec.kind == "rbf" else contextlib.nullcontext()
-    # The term scratch, free once a block is summed, holds its normal entries' mask.
-    normal = None
-    if flush:
-        normal = scratch.reshape(-1).view(np.bool_)[: scratch.size].reshape(scratch.shape)
     with rbf_limit:
         for start in range(0, n_a, step):
             rows = out[start:start + step]
@@ -177,13 +154,13 @@ def gram(
                     acc += term
             if spec.kind == "rbf":
                 acc /= -(2.0 * spec.mu**2)
-                if normal is None:
-                    np.exp(acc, out=acc)
+                # Written so that a NaN exponent takes the masked path too.
+                if not acc.min(initial=0.0) >= _LN_DBL_MIN:
+                    normal = acc >= _LN_DBL_MIN
+                    np.exp(acc, out=acc, where=normal)
+                    np.copyto(acc, 0.0, where=np.logical_not(normal, out=normal))
                 else:
-                    mask = normal[: acc.shape[0]]
-                    np.greater_equal(acc, _LN_DBL_MIN, out=mask)
-                    np.exp(acc, out=acc, where=mask)
-                    np.copyto(acc, 0.0, where=np.logical_not(mask, out=mask))
+                    np.exp(acc, out=acc)
             if buffer is not None:
                 np.copyto(rows, acc)
     return out

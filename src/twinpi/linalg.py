@@ -32,10 +32,11 @@ SSE control register (MXCSR) on the calling thread for the length of a
 ``with`` block. With it set, a floating-point result below DBL_MIN becomes
 a signed zero instead of a subnormal number, which x86 computes on a slow
 microcode path; normal results and subnormal inputs are left as they are.
-The twin fit runs under it (see :func:`twinpi.model.fit`). It reaches the
-register through glibc libm's ``fegetenv``/``fesetenv`` on x86-64 Linux and
-does nothing on any other platform: a fit there keeps IEEE subnormals and
-runs slower where they arise.
+The twin fit runs under it (see :func:`twinpi.model.fit`), except for its
+Gram builds, correcting weights and KKT gate. It reaches the register
+through glibc libm's ``fegetenv``/``fesetenv`` on x86-64 Linux and does
+nothing on any other platform: a fit there keeps IEEE subnormals and runs
+slower where they arise.
 """
 
 from __future__ import annotations

@@ -86,9 +86,9 @@ A fit runs with subnormal results flushed to zero on its thread
 normal Gram entries make subnormal partial results throughout the products,
 solves and recoveries, and x86 computes those on a slow path. The flush
 changes no normal result, and every recorded output keeps its bits. The
-Gram builds, also those inside a fit, and everything outside ``fit``
-(``predict``, the kernel ridge comparator, ``kkt_residuals`` and the stacked
-oracle) keep IEEE subnormals.
+Gram builds, the correcting weights v1*, v2* and the KKT gate inside a fit,
+and everything outside ``fit`` (``predict``, the kernel ridge comparator,
+``kkt_residuals`` and the stacked oracle) keep IEEE subnormals.
 
 A fit is accepted only when its six optimality residuals pass the KKT gate.
 The gate is checked side by side: the down-bound side is solved, recovered
@@ -479,6 +479,25 @@ def _gate(
     return residuals
 
 
+def _correct_and_gate(
+    ws: FitWorkspace, y: np.ndarray, hp: Hyperparams, side: str,
+    v: np.ndarray, multiplier: np.ndarray, tol: float,
+) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """One side's correcting weights and its gated residuals, in IEEE arithmetic.
+
+    ``v1* = -(1/c2) G*^T (c3 1 + alpha)`` (down) or ``v2* = -(1/c5) G*^T
+    (c6 1 + beta)`` (up). At c2 or c5 near the largest float the correcting
+    weights are subnormal: flushed to zero, they fail a gate that the fit
+    passes in IEEE arithmetic, the arithmetic ``kkt_residuals`` uses.
+    """
+    down = side == "down-bound"
+    c_corr, c_drift = (hp.c2, hp.c3) if down else (hp.c5, hp.c6)
+    residuals = _down_residuals if down else _up_residuals
+    with flush_subnormals(False):
+        v_star = -(ws.G_star.T @ (c_drift * ws.ones + multiplier)) / c_corr
+        return v_star, _gate(side, residuals(ws, y, hp, v, v_star, multiplier), tol)
+
+
 def _linear_row_limit(data: PIDataset, hp: Hyperparams) -> str | None:
     """Why a linear-variant or identity-kernel fit on ``data`` must fail, or None if it need not.
 
@@ -516,13 +535,11 @@ def _fit_side_by_side(
     """
     alpha = solve_alpha(ws, y, hp)
     v1 = _recover(ws, hp.c1, ws.G.T @ (y + alpha), "down-bound recovery")
-    v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
-    down = _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
+    v1_star, down = _correct_and_gate(ws, y, hp, "down-bound", v1, alpha, tol)
 
     beta = solve_beta(ws, y, hp)
     v2 = _recover(ws, hp.c4, ws.G.T @ (y - beta), "up-bound recovery")
-    v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
-    up = _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
+    v2_star, up = _correct_and_gate(ws, y, hp, "up-bound", v2, beta, tol)
     return v1, v2, v1_star, v2_star, alpha, beta, KKTResiduals(*down, *up)
 
 
@@ -573,12 +590,10 @@ def _fit_in_steps(
     ws.release("recovery", "GtG")
 
     ws.G_star = _design(data.privileged, hp.kernel)
-    v1_star = -(ws.G_star.T @ (hp.c3 * ws.ones + alpha)) / hp.c2
-    down = _gate("down-bound", _down_residuals(ws, y, hp, v1, v1_star, alpha), tol)
+    v1_star, down = _correct_and_gate(ws, y, hp, "down-bound", v1, alpha, tol)
     if up_error is not None:
         raise up_error
-    v2_star = -(ws.G_star.T @ (hp.c6 * ws.ones + beta)) / hp.c5
-    up = _gate("up-bound", _up_residuals(ws, y, hp, v2, v2_star, beta), tol)
+    v2_star, up = _correct_and_gate(ws, y, hp, "up-bound", v2, beta, tol)
     return v1, v2, v1_star, v2_star, alpha, beta, KKTResiduals(*down, *up)
 
 
@@ -623,7 +638,7 @@ def fit(
     ``kkt`` holds the residuals the gate checked.
 
     Both schedules run under ``flush_subnormals()``, on the calling thread
-    only; the designs they build keep IEEE arithmetic.
+    only; the designs they build, v1*, v2* and the gate keep IEEE arithmetic.
     """
     with flush_subnormals():
         own_ws = ws is None

@@ -308,6 +308,21 @@ def test_eval_of_weights_out_of_range_is_a_data_error(f2_run, capsys, weights, m
     assert captured.err.startswith("data error: ") and message in captured.err
 
 
+def test_eval_model_file_whose_norm_covers_too_few_columns_is_a_data_error(f2_run, capsys):
+    data_dir, fit_dir = f2_run
+    path = fit_dir / "model.json"
+    payload = json.loads(path.read_text())
+    # col_min and col_max end with the target's column: two entries cover one feature
+    payload["norm"] = {key: values[:2] for key, values in payload["norm"].items()}
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["eval", "--model", path, "--data", data_dir / "test.csv"]) == 2
+    assert _one_line_error(capsys, "data error: ") == (
+        f"data error: model file {path} is malformed: norm covers 1 feature columns, "
+        "the model reads 3\n"
+    )
+
+
 # ------------------------------------------------ model file property test
 
 LEAN_MODEL_KEYS = ("format", "hyperparams", "v1", "v2", "train_regular", "norm")
@@ -910,6 +925,31 @@ def test_stats_on_a_table_with_a_nan_score_is_a_data_error(tmp_path, capsys):
         f"data error: {scores}: scores contain non-finite entries\n"
     )
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("table, message", [
+    (None, "cannot read {path}: [Errno 2] No such file or directory"),
+    ("dataset,a,b\nd1,1.0,2.0\n", "{path}: a score table needs a header and at least 2 data rows"),
+    ("dataset,a\nd1,1.0\nd2,2.0\n", "{path}: a score table needs at least 2 model columns"),
+], ids=["missing-file", "one-data-row", "one-model-column"])
+def test_stats_on_a_missing_or_too_small_table_is_a_data_error(tmp_path, capsys, table, message):
+    scores = tmp_path / "scores.csv"
+    if table is not None:
+        scores.write_text(table)
+    capsys.readouterr()
+    assert run(["stats", "--scores", scores, "--out", tmp_path / "report"]) == 2
+    err = _one_line_error(capsys, "data error: ")
+    assert err.startswith("data error: " + message.format(path=scores))
+    assert not (tmp_path / "report").exists()
+
+
+def test_stats_with_a_nonpositive_q_alpha_is_a_configuration_error(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(TWIN_VS_KRR)
+    assert run(["stats", "--scores", scores, "--q-alpha", 0]) == 1
+    assert _one_line_error(capsys, "configuration error: ") == (
+        "configuration error: q_alpha must be positive, got 0.0\n"
+    )
 
 
 # ------------------------------------------------------------------ bounds

@@ -94,8 +94,8 @@ def _rows_at_squared_distance(d2):
 def test_an_rbf_exponent_below_ln_dbl_min_gives_zero(below):
     # at mu = 2**-5 the exponent is exactly -512 d2; ln(DBL_MIN) itself gives
     # a normal entry, the next float below it +0.0 where exp is subnormal.
-    # A far row makes gram check every exponent, not only those its column
-    # ranges cannot bound.
+    # A far row puts the entry in a block that is masked either way; alone,
+    # a normal entry's block calls plain exp.
     exponent = math.log(DBL_MIN)
     if below:
         exponent = math.nextafter(exponent, -math.inf)
@@ -109,6 +109,39 @@ def test_an_rbf_exponent_below_ln_dbl_min_gives_zero(below):
     values += [gram(rows, a, spec)[0, 0] for rows in (b, with_far)]
     for value in values:
         assert value == want and not math.copysign(1.0, value) < 0
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_each_row_block_masks_only_if_its_own_exponents_need_it(strided, monkeypatch):
+    # at mu = 2**-5 the exponent is -512 d2: near rows stay above ln(DBL_MIN)
+    # (-708.4), far rows go below it, and the row at x = 1.2 does both: -737
+    # against the first column, where plain exp would be subnormal
+    spec = KernelSpec("rbf", mu=2.0**-5)
+    b = np.array([[0.0, 0.0], [0.1, 0.2], [0.3, 0.1]])
+    a = np.array([[0.1, 0.1], [0.2, 0.3], [1.2, 0.0], [0.0, 0.4], [1.5, 0.5],
+                  [2.0, 1.0], [0.3, 0.3], [0.4, 0.2]])
+    exponents = -np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1) / (2.0 * spec.mu**2)
+    # two rows per block, one with a strided out (half the step)
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2 * len(b))
+    rows_per_block = 1 if strided else 2
+    block_least = [exponents[i:i + rows_per_block].min() for i in range(0, len(a), rows_per_block)]
+    assert min(block_least) < kernels._LN_DBL_MIN <= max(block_least)
+    want = np.array([[kernel_eval(x, z, spec) for z in b] for x in a])
+    assert ((exponents < kernels._LN_DBL_MIN) & (np.exp(exponents) > 0.0)).any()
+
+    def gram_of(rows):
+        if not strided:
+            return gram(rows, b, spec)
+        design = np.full((len(rows), len(b) + 1), np.nan)
+        gram(rows, b, spec, out=design[:, :len(b)])
+        assert np.isnan(design[:, len(b)]).all()
+        return design[:, :len(b)]
+
+    assert bitwise_equal(gram_of(a), want)
+    # a NaN exponent gives +0.0 and leaves the block's other rows as they were
+    with_nan = np.vstack([a[:1], [[np.nan, 0.2]]])
+    got = gram_of(with_nan)
+    assert bitwise_equal(got[1], np.zeros(len(b))) and bitwise_equal(got[0], want[0])
 
 
 def test_rbf_hand_value():

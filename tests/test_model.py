@@ -1086,6 +1086,29 @@ def test_flushed_fits_equal_ieee_fits_bitwise(threads, shared, monkeypatch):
     assert any(isinstance(o, str) for o in ieee) and any(not isinstance(o, str) for o in ieee)
 
 
+@pytest.mark.parametrize("mu", [2.0**-6, 2.0**-3])
+@pytest.mark.parametrize("exponent", [-1074, -1060, -1000, 1020, 1022, 1023])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "own"])
+def test_flushed_fits_at_extreme_c2_c5_equal_ieee_fits_bitwise(mu, exponent, shared, monkeypatch):
+    # At c2 = c5 >= 2**1020 the correcting weights v1*, v2* are subnormal.
+    # Flushed to zero they failed the gate by a residual of about 1; computed
+    # in IEEE arithmetic, as kkt_residuals computes them, the fit passes.
+    data = _f2_rows(120)
+    c = 2.0**exponent
+    hp = Hyperparams(c2=c, c5=c, kernel=KernelSpec("rbf", mu=mu))
+
+    def outcomes():
+        return _fit_outcomes(data, [hp], build_workspace(data, hp) if shared else None)
+
+    flushed = outcomes()
+    if exponent > 0:
+        model = fit(data, hp, ws=build_workspace(data, hp) if shared else None)
+        assert model.kkt == kkt_residuals(model, data)
+    monkeypatch.setattr(twinpi.model, "flush_subnormals",
+                        lambda on=True: contextlib.nullcontext())
+    _assert_same_outcomes(flushed, outcomes())
+
+
 #: Two normal floats whose product, 1e-320, is subnormal.
 _TINY = (np.float64(1e-160), np.float64(1e-160))
 
