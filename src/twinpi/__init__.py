@@ -3,12 +3,20 @@
 Training data may carry extra "privileged" features that are available while
 fitting but never at prediction time; the two epsilon-insensitive bound
 regressors absorb them through correcting functions, and everything reduces
-to dense linear solves. The package also ships the surrounding experiment
-machinery: normalization, synthetic benchmarks, grid-search tuning, rank
-statistics and generalization-bound calculators.
+to dense linear solves. The package exports the model's API: datasets and
+normalization, fit, predict, the KKT re-check, model files, metrics and
+grid-search tuning.
+
+The tools around the model are imported from their own modules, and
+``import twinpi`` does not load them: the stacked-KKT reference solver from
+:mod:`twinpi.oracle`, the Friedman and Nemenyi rank tests from
+:mod:`twinpi.stats`, and the generalization-bound calculator from
+:mod:`twinpi.bounds`. The solver internals (``gram``, ``solve_checked``,
+``solve_alpha``, ``build_workspace``, ...) stay in :mod:`twinpi.kernels`,
+:mod:`twinpi.linalg`, :mod:`twinpi.model`, :mod:`twinpi.metrics` and
+:mod:`twinpi.tuning`.
 """
 
-from .bounds import BoundInputs, generalization_bound, rademacher_bound
 from .data import (
     DataError,
     Dataset,
@@ -25,49 +33,23 @@ from .data import (
     split_privileged,
     train_test_split,
 )
-from .kernels import KernelSpec, gram
-from .linalg import LUFactors, NumericalError, solve_checked
-from .metrics import Metrics, aggregate_mean, evaluate
+from .kernels import KernelSpec
+from .linalg import NumericalError
+from .metrics import Metrics, evaluate
 from .model import (
-    DualSolution,
-    FitWorkspace,
     Hyperparams,
     KKTResiduals,
     KRRModel,
     TrainedModel,
     bound_functions,
-    build_workspace,
     correcting_values,
-    cross_gram,
     fit,
     fit_krr_comparator,
     kkt_residuals,
-    krr_gram,
     load_model,
     predict,
     save_model,
-    solve_alpha,
-    solve_beta,
 )
-from .oracle import StackedSystem, build_stacked_system, solve_stacked_kkt
-from .stats import (
-    FriedmanResult,
-    ScoreTable,
-    StatsReport,
-    compute_report,
-    friedman,
-    load_score_csv,
-    nemenyi_cd,
-    rank_rows,
-    significance_table,
-)
-from .tuning import (
-    GridSpec,
-    TuneResult,
-    TuningError,
-    cross_validate,
-    kfold_indices,
-    tune_krr,
-)
+from .tuning import GridSpec, TuneResult, TuningError, cross_validate, tune_krr
 
 __version__ = "0.1.0"

@@ -639,8 +639,11 @@ def fit(
 
     Both schedules run under ``flush_subnormals()``, on the calling thread
     only; the designs they build, v1*, v2* and the gate keep IEEE arithmetic.
+    Floating-point warnings are off: an overflow at extreme c or eps makes a
+    non-finite value that the checked solves or the gate reject, so it ends
+    as ``NumericalError``, never as a ``RuntimeWarning``.
     """
-    with flush_subnormals():
+    with flush_subnormals(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         own_ws = ws is None
         if own_ws:
             ws = build_workspace(data, hp)

@@ -74,6 +74,32 @@ def test_validation():
         generalization_bound(inp, 4)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-2.0, 1.0, 0.5, np.ones(3)), "weight norm cap must be positive, got -2.0"),
+    ((float("nan"), 1.0, 0.5, np.ones(3)), "weight norm cap must be positive, got nan"),
+    ((1.0, 0.0, 0.5, np.ones(3)), "Lipschitz constant must be positive, got 0.0"),
+    ((1.0, 1.0, 0.5, np.array([])), "kernel diagonal must be non-empty"),
+    ((1.0, 1.0, 0.5, np.array([1.0, -1e-300])),
+     "kernel diagonal entries must be finite and non-negative"),
+    ((1.0, 1.0, 0.5, np.array([1.0, np.inf])),
+     "kernel diagonal entries must be finite and non-negative"),
+    ((1.0, 1.0, 0.5, np.array([np.nan])),
+     "kernel diagonal entries must be finite and non-negative"),
+    ((1.0, 1.0, 0.5, np.ones(3), -0.5), "empirical error must be non-negative, got -0.5"),
+])
+def test_bound_inputs_reject_bad_values_with_their_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        BoundInputs(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0])
+def test_rademacher_bound_rejects_a_bad_cap_with_its_message(cap):
+    with pytest.raises(ValueError) as info:
+        rademacher_bound(cap, np.ones(3))
+    assert str(info.value) == f"weight norm cap must be positive, got {cap}"
+
+
 @given(
     cap=st.floats(0.01, 100),
     lip=st.floats(0.01, 100),

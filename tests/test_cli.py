@@ -142,6 +142,23 @@ def test_fit_numerical_failure_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("weights", [
+    ["--c2", 2.2250738585072014e-308, "--c5", 2.2250738585072014e-308],
+    ["--c1", 1.1235582092889474e+307, "--c4", 1.1235582092889474e+307],
+], ids=["c2-c5-tiny", "c1-c4-huge"])
+def test_fit_overflow_at_extreme_weights_is_a_numerical_error(tmp_path, capsys, weights):
+    # The multiplier system's products overflow; under filterwarnings = error
+    # a RuntimeWarning escaping fit would end this run in a traceback.
+    data_dir = tmp_path / "data"
+    assert run(["synth", "--fn", "f2", "--n-train", 120, "--seed", 0, "--out", data_dir]) == 0
+    capsys.readouterr()
+    assert run(["fit", "--data", data_dir / "train.csv", "--mu", 0.125, *weights,
+                "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("rows, code", [(5, 0), (6, 0), (7, 3), (8, 3), (12, 3), (60, 3)])
 def test_linear_fit_needs_rows_within_the_feature_span(tmp_path, capsys, rows, code):
     # f2 has 3 regular and 2 privileged columns: [G, G*] has rank at most

@@ -17,6 +17,7 @@ from twinpi.data import (
     Dataset,
     HeadSplit,
     NoiseSpec,
+    PIDataset,
     RatioSplit,
     SYNTHETIC_FUNCTIONS,
     gen_synthetic,
@@ -28,6 +29,37 @@ from twinpi.data import (
     split_privileged,
     train_test_split,
 )
+
+
+# ------------------------------------------------------- dataset containers
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Dataset(np.zeros((3, 2)), np.zeros(2)),
+     "features have 3 rows but targets have 2 entries"),
+    (lambda: Dataset(np.zeros((2, 2)), np.zeros(2), ("x1",)),
+     "feature_names length does not match feature count"),
+    (lambda: Dataset(np.zeros((2, 2)), np.zeros(2), ("x1", "x2", "x3")),
+     "feature_names length does not match feature count"),
+    (lambda: PIDataset(np.zeros((3, 1)), np.zeros((2, 1)), np.zeros(3)),
+     "regular, privileged and targets must all have the same row count"),
+    (lambda: PIDataset(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros(2)),
+     "regular, privileged and targets must all have the same row count"),
+    (lambda: PIDataset(np.zeros((3, 0)), np.zeros((3, 1)), np.zeros(3)),
+     "regular and privileged must each have at least one column"),
+    (lambda: PIDataset(np.zeros((3, 1)), np.zeros((3, 0)), np.zeros(3)),
+     "regular and privileged must each have at least one column"),
+])
+def test_dataset_shape_checks_raise_their_messages(make, message):
+    with pytest.raises(DataError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_normalizing_an_empty_dataset_is_a_data_error():
+    with pytest.raises(DataError) as info:
+        min_max_normalize(Dataset(np.zeros((0, 2)), np.zeros(0)))
+    assert str(info.value) == "cannot normalize an empty dataset"
 
 
 # ---------------------------------------------------------------- load_csv
@@ -531,6 +563,19 @@ def test_split_errors():
         train_test_split(ds, RatioSplit(0.01, seed=0))
 
 
+@pytest.mark.parametrize("scheme, message", [
+    (RatioSplit(1.5), "split ratio must lie in (0, 1), got 1.5"),
+    (RatioSplit(0.0), "split ratio must lie in (0, 1), got 0.0"),
+    (HeadSplit(0), "head split count must lie in [1, 4] for 5 rows, got 0"),
+    ("head", "unknown split scheme 'head'"),
+])
+def test_split_rejects_a_bad_scheme_with_its_message(scheme, message):
+    ds = Dataset(np.arange(5.0).reshape(5, 1), np.arange(5.0))
+    with pytest.raises(DataError) as info:
+        train_test_split(ds, scheme)
+    assert str(info.value) == message
+
+
 # ------------------------------------------------------- synthetic datasets
 
 
@@ -606,6 +651,17 @@ def test_lag_embed_row_count():
 def test_lag_embed_too_short():
     with pytest.raises(DataError, match="too short"):
         lag_embed(np.arange(5.0), lags=5)
+
+
+@pytest.mark.parametrize("length, lags, message", [
+    (5, 0, "lags must be at least 1, got 0"),
+    (5, -2, "lags must be at least 1, got -2"),
+    (0, 1, "series of length 0 is too short for lag embedding with lags=1"),
+])
+def test_lag_embed_rejects_bad_lags_with_their_messages(length, lags, message):
+    with pytest.raises(DataError) as info:
+        lag_embed(np.arange(float(length)), lags=lags)
+    assert str(info.value) == message
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))

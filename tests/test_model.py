@@ -50,6 +50,7 @@ from twinpi.model import (
     fit,
     fit_krr_comparator,
     kkt_residuals,
+    kkt_tolerance,
     krr_gram,
     load_model,
     predict,
@@ -1107,6 +1108,33 @@ def test_flushed_fits_at_extreme_c2_c5_equal_ieee_fits_bitwise(mu, exponent, sha
     monkeypatch.setattr(twinpi.model, "flush_subnormals",
                         lambda on=True: contextlib.nullcontext())
     _assert_same_outcomes(flushed, outcomes())
+
+
+_EXTREME_EXPONENTS = (-1074, -1060, -1022, -1000, 1000, 1020, 1022, 1023)
+
+
+@pytest.mark.parametrize("mu", [2.0**-6, 2.0**-3, 2.0**-2])
+@pytest.mark.parametrize("weights", [("c1", "c4"), ("c2", "c5"), ("c3", "c6")], ids=["c1", "c2", "c3"])
+def test_fits_at_extreme_weights_fit_or_raise_numerical_error(weights, mu):
+    # Under filterwarnings = error, a RuntimeWarning escaping fit fails the
+    # test. c2 = c5 = 2**-1022, and c1 = c4 or c3 = c6 at 2**1020 and above,
+    # overflow the multiplier system's products and right-hand side.
+    data = _f2_rows(120)
+    candidates = [
+        replace(Hyperparams(eps1=eps, eps2=eps, kernel=KernelSpec("rbf", mu=mu)),
+                **dict.fromkeys(weights, 2.0**e))
+        for e in _EXTREME_EXPONENTS
+        for eps in (0.0, 2.0**-1074, 1e-310)
+    ]
+    own = _fit_outcomes(data, candidates, None)
+    shared = [o for hp in candidates
+              for o in _fit_outcomes(data, [hp], build_workspace(data, hp))]
+    _assert_same_outcomes(shared, own)
+    for hp, outcome in zip(candidates, own):
+        if not isinstance(outcome, str):
+            model = fit(data, hp)
+            assert model.kkt == kkt_residuals(model, data)
+            assert model.kkt.max_residual() <= kkt_tolerance(data.targets)
 
 
 #: Two normal floats whose product, 1e-320, is subnormal.

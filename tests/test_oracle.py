@@ -3,7 +3,7 @@ import pytest
 
 from support import draw_well_posed, rel_err
 
-from twinpi.model import Hyperparams, build_workspace, fit
+from twinpi.model import Hyperparams, build_workspace, fit, solve_alpha, solve_beta
 from twinpi.oracle import build_stacked_system, solve_stacked_kkt
 
 from test_model import REF_DATA, REF_HP, REF_V1, REF_V1_STAR, REF_NULL_DIR
@@ -63,6 +63,18 @@ def test_unknown_side_rejected():
     ws = build_workspace(REF_DATA, REF_HP)
     with pytest.raises(ValueError, match="side"):
         solve_stacked_kkt(ws, REF_DATA.targets, REF_HP, "sideways")
+
+
+@pytest.mark.parametrize("targets", [[0.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
+@pytest.mark.parametrize("solve", [
+    lambda ws, y: solve_alpha(ws, y, REF_HP),
+    lambda ws, y: solve_beta(ws, y, REF_HP),
+    lambda ws, y: build_stacked_system(ws, y, REF_HP, "down"),
+], ids=["solve_alpha", "solve_beta", "build_stacked_system"])
+def test_a_wrong_target_count_is_rejected_with_its_message(solve, targets):
+    with pytest.raises(ValueError) as info:
+        solve(build_workspace(REF_DATA, REF_HP), targets)
+    assert str(info.value) == f"got {len(targets)} targets for 3 training rows"
 
 
 def test_down_side_solvable_across_100_random_valid_instances():

@@ -88,7 +88,7 @@ def test_ranks_equal_scipy_rankdata_bitwise(direction):
 
 def test_import_loads_no_scipy():
     probe = (
-        "import sys, twinpi\n"
+        "import sys, twinpi.stats\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = Path(__file__).resolve().parent.parent / "src"
@@ -145,6 +145,23 @@ def test_friedman_validation():
         friedman([1.0, 2.0], n=5, l=3)
 
 
+@pytest.mark.parametrize("l, n", [(1, 5), (3, 1), (0, 0)])
+def test_rank_tests_need_two_models_and_two_datasets(l, n):
+    with pytest.raises(ValueError) as info:
+        friedman(np.arange(1.0, l + 1), n=n, l=l)
+    assert str(info.value) == f"need l >= 2 models and n >= 2 datasets, got l={l}, n={n}"
+    with pytest.raises(ValueError) as info:
+        nemenyi_cd(l, n, 2.0)
+    assert str(info.value) == f"need l >= 2 and n >= 2, got l={l}, n={n}"
+
+
+@pytest.mark.parametrize("cd", [0.0, -1.0, float("nan")])
+def test_significance_table_needs_a_positive_critical_difference(cd):
+    with pytest.raises(ValueError) as info:
+        significance_table([1.0, 2.0], cd)
+    assert str(info.value) == f"critical difference must be positive, got {cd}"
+
+
 def test_nemenyi_golden_values():
     assert nemenyi_cd(6, 12, 2.850) == pytest.approx(2.1767, abs=0.0005)
     assert nemenyi_cd(6, 21, 2.850) == pytest.approx(1.6454, abs=0.0005)
@@ -196,6 +213,23 @@ def test_compute_report_end_to_end():
     assert report.cd == pytest.approx(2.1767, abs=0.0005)
     text = format_report(report)
     assert "reject" in text and "cd" in text
+
+
+def test_format_report_names_unnamed_models_by_column():
+    report = compute_report(ScoreTable(SYNTHETIC_RMSE_TABLE[:, :3]))
+    assert format_report(report).splitlines() == [
+        "average ranks:",
+        "  model1: 2.4167",
+        "  model2: 1.0000",
+        "  model3: 2.5833",
+        "chi2_f = 18.1667 (dof 2)",
+        "f_f = 34.2571 (dof 2, 22)",
+        "nemenyi cd = 0.9565 (q_alpha = 2.343)",
+        "pairwise significant (|rank gap| > cd):",
+        "  model1 vs model2: yes",
+        "  model1 vs model3: no",
+        "  model2 vs model3: yes",
+    ]
 
 
 def test_score_csv_round_trip(tmp_path):
